@@ -11,8 +11,7 @@ import tempfile
 import numpy as np
 
 from envgnn.config import TrainConfig
-from envgnn.model import export_branch_weights, import_branch_weights, init_params
-from envgnn.rng import Rng, STREAM_INIT
+from envgnn.model import export_branch_weights, import_branch_weights
 from envgnn.shiftgen import PlantedConfig, gen_planted_dataset
 from envgnn.trainer import train
 
@@ -20,14 +19,10 @@ from envgnn.trainer import train
 def main():
     dataset = gen_planted_dataset(PlantedConfig(n_per_domain=200, seed=2))
     cfg = TrainConfig(epochs=40, hidden=16, deterministic_eval=True)
-    res = train(dataset, cfg)
-
-    params = init_params(cfg, dataset.num_features, dataset.num_classes,
-                         Rng(cfg.seed).substream(STREAM_INIT))
-    params.load_values(res.best_params)
+    result = train(dataset, cfg)
 
     out_dir = tempfile.mkdtemp(prefix="branch_weights_")
-    paths = export_branch_weights(params, layer=1, out_dir=out_dir)
+    paths = export_branch_weights(result.params, layer=1, out_dir=out_dir)
     print(f"wrote {len(paths)} matrices to {out_dir}")
     for path in paths:
         w = import_branch_weights(path)

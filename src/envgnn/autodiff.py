@@ -49,7 +49,7 @@ def _check_finite(a: np.ndarray, op: str):
 class Tensor:
     """A node of the tape: a float64 array plus provenance."""
 
-    __slots__ = ("value", "grad", "parents", "op", "needs_grad", "_backward")
+    __slots__ = ("value", "grad", "parents", "op", "needs_grad", "_backward", "__weakref__")
 
     def __init__(self, value, parents=(), op="leaf", backward=None, needs_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
@@ -296,8 +296,11 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
 def exp(a) -> Tensor:
     a = _lift(a)
     with np.errstate(over="ignore"):
-        out = Tensor(np.exp(a.value), (a,), "exp")
-    out._backward = lambda g: _accum(a, g * out.value)
+        y = np.exp(a.value)
+    out = Tensor(y, (a,), "exp")
+    # capture the array, not ``out``: a closure on its own node is a reference
+    # cycle that keeps the whole tape alive until the cyclic collector runs
+    out._backward = lambda g: _accum(a, g * y)
     return out
 
 

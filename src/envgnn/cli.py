@@ -22,11 +22,12 @@ import time
 import numpy as np
 
 from . import __version__
+from .autodiff import NumericError
 from .config import TrainConfig
 from .gradcheck import run_gradcheck
 from .graphdata import dataset_manifest_hash, load_dataset, load_graph, save_dataset
 from .model import export_branch_weights, init_params, ParamSet
-from .rng import ALGORITHM
+from .rng import ALGORITHM, STREAM_INIT, Rng
 from .shiftgen import PlantedConfig, SpuriousGenConfig, gen_planted_dataset, gen_spurious_dataset
 from .trainer import TrainAbort, eval_report, sweep, train
 
@@ -76,9 +77,13 @@ def _write_manifest(out_dir: str, command: str, extra: dict):
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path: str, params: ParamSet, cfg: TrainConfig):
+class CheckpointError(ValueError):
+    """A checkpoint file does not describe a model this version can load."""
+
+
+def save_checkpoint(path: str, params: ParamSet):
     payload = {
-        "config": cfg.to_dict(),
+        "config": params.cfg.to_dict(),
         "in_dim": params.in_dim,
         "num_classes": params.num_classes,
         "params": {
@@ -91,18 +96,47 @@ def save_checkpoint(path: str, params: ParamSet, cfg: TrainConfig):
 
 
 def load_checkpoint(path: str) -> tuple[ParamSet, TrainConfig]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    cfg = TrainConfig.from_dict(payload["config"])
-    from .rng import Rng, STREAM_INIT
+    """Read a checkpoint written by ``save_checkpoint``.
 
-    params = init_params(cfg, payload["in_dim"], payload["num_classes"],
-                         Rng(cfg.seed).substream(STREAM_INIT))
-    values = {
-        name: np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
-        for name, rec in payload["params"].items()
-    }
-    params.load_values(values)
+    The parameter names and shapes ``init_params`` gives the stored config are
+    the schema: a missing field, a missing or unexpected parameter, or a shape
+    that differs raises ``CheckpointError`` naming it.
+    """
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: expected a JSON object")
+    for key in ("config", "in_dim", "num_classes", "params"):
+        if key not in payload:
+            raise CheckpointError(f"{path}: missing field '{key}'")
+    try:
+        cfg = TrainConfig.from_dict(payload["config"])
+        params = init_params(cfg, int(payload["in_dim"]), int(payload["num_classes"]),
+                             Rng(cfg.seed).substream(STREAM_INIT))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad config: {exc}") from None
+    stored = payload["params"]
+    if not isinstance(stored, dict):
+        raise CheckpointError(f"{path}: field 'params' must be a JSON object")
+    missing = sorted(set(params.tensors) - set(stored))
+    extra = sorted(set(stored) - set(params.tensors))
+    if missing or extra:
+        raise CheckpointError(f"{path}: missing parameters {missing}, unexpected {extra}")
+    values = {}
+    for name in params.tensors:
+        try:
+            rec = stored[name]
+            values[name] = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: malformed parameter '{name}' "
+                                  f"({type(exc).__name__}: {exc})") from None
+    try:
+        params.load_values(values)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return params, cfg
 
 
@@ -149,12 +183,11 @@ def _load_train_config(args) -> TrainConfig:
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
-    overrides = {
-        "seed": args.seed,
-        "method": args.method,
-        "backbone": args.backbone,
-    }
+    # only flags given on the command line override the file; TrainConfig
+    # supplies the defaults
+    overrides = {}
     for flag, key in [
+        ("seed", "seed"), ("method", "method"), ("backbone", "backbone"),
         ("epochs", "epochs"), ("lr", "lr"), ("weight_decay", "weight_decay"),
         ("dropout", "dropout"), ("hidden", "hidden"), ("layers", "num_layers"),
         ("branches", "num_branches"), ("tau", "tau"), ("reg_weight", "reg_weight"),
@@ -166,7 +199,7 @@ def _load_train_config(args) -> TrainConfig:
                  "log_prob_gumbel", "deterministic_eval", "exact_kl"):
         if getattr(args, flag):
             overrides[flag] = True
-    merged = {**base, **{k: v for k, v in overrides.items() if v is not None}}
+    merged = {**base, **overrides}
     cfg = TrainConfig.from_dict(merged)
     if cfg.method == "erm" and any(
         k in merged for k in ("num_branches", "tau", "reg_weight")
@@ -194,13 +227,7 @@ def cmd_train(args) -> int:
     run_path = os.path.join(args.out, "run.json")
     with open(run_path, "w") as fh:
         json.dump(run, fh, indent=1, sort_keys=True)
-
-    from .model import init_params as _init  # params already hold best values
-    from .rng import Rng, STREAM_INIT
-
-    params = _init(cfg, ds.num_features, ds.num_classes, Rng(cfg.seed).substream(STREAM_INIT))
-    params.load_values(result.best_params)
-    save_checkpoint(os.path.join(args.out, "checkpoint.json"), params, cfg)
+    save_checkpoint(os.path.join(args.out, "checkpoint.json"), result.params)
     _write_manifest(args.out, "train", {
         "seed": cfg.seed,
         "dataset_manifest_hash": run["dataset_manifest_hash"],
@@ -274,8 +301,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_weights(args) -> int:
-    params, _cfg = load_checkpoint(args.checkpoint)
-    if params.method != "canet":
+    params, cfg = load_checkpoint(args.checkpoint)
+    if cfg.method != "canet":
         _say("checkpoint has no branch weights (baseline model)")
         return EXIT_COMPAT
     try:
@@ -325,10 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--config", help="JSON file with TrainConfig fields")
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=int)
     t.add_argument("--force", action="store_true")
-    t.add_argument("--method", choices=["canet", "erm"], default="canet")
-    t.add_argument("--backbone", choices=["gcn", "gat"], default="gcn")
+    t.add_argument("--method", choices=["canet", "erm"])
+    t.add_argument("--backbone", choices=["gcn", "gat"])
     t.add_argument("--epochs", type=int)
     t.add_argument("--lr", type=float)
     t.add_argument("--weight-decay", dest="weight_decay", type=float)
@@ -364,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", help="base config JSON")
     s.add_argument("--out", required=True)
     s.add_argument("--force", action="store_true")
-    s.add_argument("--jobs", type=int, default=1)  # runs are independent
     s.set_defaults(func=cmd_sweep)
 
     w = sub.add_parser("export-weights", help="export per-branch weight CSVs")
@@ -387,6 +413,12 @@ def main(argv=None) -> int:
     except (FileNotFoundError, FileExistsError, PermissionError, IsADirectoryError) as exc:
         _say(f"I/O error: {exc}")
         return EXIT_IO
+    except CheckpointError as exc:
+        _say(f"incompatible checkpoint: {exc}")
+        return EXIT_COMPAT
+    except NumericError as exc:
+        _say(f"numerical failure: {exc}")
+        return EXIT_NUMERIC
     except ValueError as exc:
         _say(f"invalid input: {exc}")
         return EXIT_USAGE

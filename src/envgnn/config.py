@@ -1,21 +1,11 @@
-"""Training configuration and default hyperparameter grids."""
+"""Training configuration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 BACKBONES = ("gcn", "gat")
 METHODS = ("canet", "erm")
-
-# default grid-search spaces (sweep support)
-GRID_NUM_LAYERS = [2, 3, 4, 5]
-GRID_HIDDEN = [32, 64, 128]
-GRID_DROPOUT = [0.0, 0.1, 0.2, 0.5]
-GRID_LR = [0.001, 0.005, 0.01, 0.02]
-GRID_WEIGHT_DECAY = [0.0, 5e-5, 5e-4, 5e-3]
-GRID_NUM_BRANCHES = [3, 5, 10]
-GRID_TAU = [1.0, 3.0, 5.0, 10.0]
-GRID_REG_WEIGHT = [0.1, 0.5, 1.0, 2.0]
 
 
 @dataclass
@@ -23,7 +13,7 @@ class TrainConfig:
     """Everything a single training run depends on.
 
     ``reg_weight`` has no published reference value; 1.0 is this package's
-    documented default and the grid above is exposed for tuning.
+    documented default (``envgnn sweep`` tunes it).
     """
 
     num_layers: int = 2

@@ -28,10 +28,11 @@ log = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
-    """A data file failed validation; carries file name and line number."""
+    """A data file failed validation; carries file name and, when known, line number."""
 
-    def __init__(self, path: str, line: int, message: str):
-        super().__init__(f"{path}:{line}: {message}")
+    def __init__(self, path: str, line: int | None, message: str):
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.line = line
 
@@ -67,9 +68,6 @@ class Graph:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
-
-    def same_structure(self, other: "Graph") -> bool:
-        return self.n == other.n and np.array_equal(self.edges, other.edges)
 
 
 def canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
@@ -140,17 +138,6 @@ class Dataset:
 
     def id_node_count(self) -> int:
         return sum(g.n for g in self.id_graphs)
-
-    def id_offsets(self) -> list[int]:
-        """Global index offset of each ID graph in the pooled node universe."""
-        offs, total = [], 0
-        for g in self.id_graphs:
-            offs.append(total)
-            total += g.n
-        return offs
-
-    def pooled_id_labels(self) -> np.ndarray:
-        return np.concatenate([g.labels for g in self.id_graphs])
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +335,18 @@ def load_dataset(directory: str) -> Dataset:
     c = int(manifest["C"])
     id_graphs = [load_graph(os.path.join(directory, d), c) for d in manifest["id_graphs"]]
     ood_graphs = [load_graph(os.path.join(directory, d), c) for d in manifest["ood_graphs"]]
-    with open(os.path.join(directory, "splits.json")) as fh:
+    spath = os.path.join(directory, "splits.json")
+    with open(spath) as fh:
         splits = json.load(fh)
+    n_id = sum(g.n for g in id_graphs)
+    for key in ("train", "valid", "test_id"):
+        if key not in splits:
+            raise ParseError(spath, None, f"missing split '{key}'")
+        idx = np.asarray(splits[key], dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= n_id)]
+        if len(bad):
+            raise ParseError(spath, None,
+                             f"'{key}' index {bad[0]} out of range [0, {n_id})")
     ood_groups = splits.get("ood_groups", [])
     split = SplitSpec(splits["train"], splits["valid"], splits["test_id"], ood_groups)
     return Dataset(id_graphs, ood_graphs, split, manifest)

@@ -54,18 +54,16 @@ def prepare_graph(g: Graph, cfg: TrainConfig) -> GraphTensors:
 
 
 class ParamSet:
-    """Named trainable tensors; the registry the tape reports gradients for."""
+    """Named trainable tensors; the registry the tape reports gradients for.
 
-    def __init__(self, backbone: str, method: str, num_layers: int, hidden: int,
-                 num_branches: int, in_dim: int, num_classes: int, shared_env: bool):
-        self.backbone = backbone
-        self.method = method
-        self.num_layers = num_layers
-        self.hidden = hidden
-        self.num_branches = num_branches
+    ``cfg`` is the configuration the tensors were initialized for; it fixes
+    the architecture (backbone, method, layers, width, branches).
+    """
+
+    def __init__(self, cfg: TrainConfig, in_dim: int, num_classes: int):
+        self.cfg = cfg
         self.in_dim = in_dim
         self.num_classes = num_classes
-        self.shared_env = shared_env
         self.tensors: dict[str, Tensor] = {}
 
     def add(self, name: str, value: np.ndarray):
@@ -78,7 +76,7 @@ class ParamSet:
         return name in self.tensors
 
     def env_weight(self, layer: int) -> Tensor:
-        return self.tensors["w_env" if self.shared_env else f"l{layer}.w_env"]
+        return self.tensors["w_env" if self.cfg.shared_env else f"l{layer}.w_env"]
 
     def values(self) -> dict[str, np.ndarray]:
         return {k: np.array(t.value) for k, t in self.tensors.items()}
@@ -98,8 +96,7 @@ def init_params(cfg: TrainConfig, in_dim: int, num_classes: int, rng: Rng) -> Pa
     regardless of ablation flags.
     """
     h, k, ll = cfg.hidden, cfg.num_branches, cfg.num_layers
-    ps = ParamSet(cfg.backbone, cfg.method, ll, h, k, in_dim, num_classes,
-                  cfg.shared_env and cfg.method == "canet")
+    ps = ParamSet(cfg, in_dim, num_classes)
 
     def gauss(shape, fan_in):
         return rng.normal(shape, std=np.sqrt(2.0 / fan_in))
@@ -183,7 +180,7 @@ class ForwardOutput:
 def moe_gcn_preact(z: Tensor, adj: SparseAdj, e: Tensor, params: ParamSet, layer: int) -> Tensor:
     """Gated pre-activation: sum_k e_k (A_hat z W_d^T + z W_self^T)."""
     total = None
-    for j in range(1, params.num_branches + 1):
+    for j in range(1, params.cfg.num_branches + 1):
         branch = ad.add(
             ad.spmm(adj, ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_d"]))),
             ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_self"])),
@@ -223,7 +220,7 @@ def _branch_attention(z: Tensor, gt: GraphTensors, w_a: Tensor, b: Tensor,
 
 def moe_gat_preact(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int) -> Tensor:
     total = None
-    for j in range(1, params.num_branches + 1):
+    for j in range(1, params.cfg.num_branches + 1):
         att = _branch_attention(z, gt, params[f"l{layer}.k{j}.w_a"], params[f"l{layer}.k{j}.b"])
         ad.edge_touches.add(gt.stored_edges)
         msgs = ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_d"]))
@@ -252,11 +249,11 @@ def canet_forward(gt: GraphTensors, params: ParamSet, cfg: TrainConfig,
                   gumbel_rng: Rng, dropout_rng: Rng, training: bool) -> ForwardOutput:
     if params.in_dim != gt.features.value.shape[1]:
         raise ValueError("feature dimension does not match phi_in")
-    k = params.num_branches
+    k = params.cfg.num_branches
     mode = "log_prob" if cfg.log_prob_gumbel else "literal"
     z = ad.matmul(gt.features, ad.transpose(params["phi_in"]))
     posterior = []
-    for l in range(1, params.num_layers + 1):
+    for l in range(1, params.cfg.num_layers + 1):
         if cfg.mean_pool_env:
             uniform = constant(np.full((gt.n, k), 1.0 / k))
             log_pi = constant(np.full((gt.n, k), -np.log(k)))
@@ -268,7 +265,7 @@ def canet_forward(gt: GraphTensors, params: ParamSet, cfg: TrainConfig,
                                          noise=np.zeros((gt.n, k)), log_pi=log_pi)
             else:
                 e, noise = gumbel_sample(pi, cfg.tau, gumbel_rng, mode, log_pi=log_pi)
-        if params.backbone == "gcn":
+        if params.cfg.backbone == "gcn":
             z = moe_gcn_layer(z, gt, e, params, l, cfg.dropout, dropout_rng, training)
         else:
             z = moe_gat_layer(z, gt, e, params, l, cfg.dropout, dropout_rng, training)
@@ -283,9 +280,9 @@ def baseline_forward(gt: GraphTensors, params: ParamSet, cfg: TrainConfig,
     if params.in_dim != gt.features.value.shape[1]:
         raise ValueError("feature dimension does not match phi_in")
     z = ad.matmul(gt.features, ad.transpose(params["phi_in"]))
-    for l in range(1, params.num_layers + 1):
+    for l in range(1, params.cfg.num_layers + 1):
         w = params[f"l{l}.w"]
-        if params.backbone == "gcn":
+        if params.cfg.backbone == "gcn":
             h = ad.relu(ad.spmm(gt.adj, ad.matmul(z, ad.transpose(w))))
         else:
             att = _branch_attention(z, gt, w, params[f"l{l}.b"])
@@ -312,11 +309,11 @@ def forward(gt: GraphTensors, params: ParamSet, cfg: TrainConfig,
 
 def export_branch_weights(params: ParamSet, layer: int, out_dir: str) -> list[str]:
     """One CSV per branch with that branch's propagation matrix, row-major."""
-    if not 1 <= layer <= params.num_layers:
-        raise ValueError(f"layer must lie in [1, {params.num_layers}]")
+    if not 1 <= layer <= params.cfg.num_layers:
+        raise ValueError(f"layer must lie in [1, {params.cfg.num_layers}]")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for j in range(1, params.num_branches + 1):
+    for j in range(1, params.cfg.num_branches + 1):
         w = params[f"l{layer}.k{j}.w_d"].value
         path = os.path.join(out_dir, f"layer{layer}_branch{j}.csv")
         with open(path, "w", newline="") as fh:

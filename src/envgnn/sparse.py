@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -12,39 +10,15 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible."""
 
 
-@dataclass
 class SparseAdj:
-    """Symmetric CSR adjacency used as the propagation operand.
+    """Square CSR adjacency used as the propagation operand.
 
-    ``edge_values`` carry the normalization coefficients (e.g. 1/sqrt(d_u d_v)),
-    so propagation is a single sparse-dense product.
+    The stored values carry the normalization coefficients (e.g.
+    1/sqrt(d_u d_v)), so propagation is a single sparse-dense product.
     """
 
-    n: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    edge_values: np.ndarray
-    _csr: sp.csr_matrix = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
-        self.edge_values = np.asarray(self.edge_values, dtype=np.float64)
-        if self.row_offsets.shape != (self.n + 1,):
-            raise DimensionError("row_offsets must have length n+1")
-        if self.row_offsets[-1] != len(self.col_indices):
-            raise DimensionError("row_offsets[n] must equal number of stored entries")
-        if len(self.col_indices) != len(self.edge_values):
-            raise DimensionError("col_indices and edge_values must align")
-        if len(self.col_indices) and (
-            self.col_indices.min() < 0 or self.col_indices.max() >= self.n
-        ):
-            raise DimensionError("col_indices out of range")
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.edge_values, self.col_indices, self.row_offsets),
-                shape=(self.n, self.n),
-            )
+    def __init__(self, csr: sp.csr_matrix):
+        self.csr = csr
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, values) -> "SparseAdj":
@@ -52,28 +26,16 @@ class SparseAdj:
             (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(n, n)
         )
         m.sum_duplicates()
-        return cls(n, m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data, m)
+        return cls(m)
+
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
 
     @property
     def nnz(self) -> int:
-        return int(self.row_offsets[-1])
-
-    @property
-    def csr(self) -> sp.csr_matrix:
-        return self._csr
+        return int(self.csr.nnz)
 
     def densify(self) -> np.ndarray:
         """Dense reconstruction; the independent oracle for spmm."""
-        return self._csr.toarray()
-
-    def value_at(self, u: int, v: int) -> float:
-        lo, hi = self.row_offsets[u], self.row_offsets[u + 1]
-        cols = self.col_indices[lo:hi]
-        hits = np.nonzero(cols == v)[0]
-        if len(hits) == 0:
-            return 0.0
-        return float(self.edge_values[lo:hi][hits[0]])
-
-    def neighbors(self, u: int) -> np.ndarray:
-        lo, hi = self.row_offsets[u], self.row_offsets[u + 1]
-        return self.col_indices[lo:hi]
+        return self.csr.toarray()

@@ -121,7 +121,7 @@ class TrainResult:
     history: list = field(default_factory=list)
     selected_epoch: int = -1
     best_valid: float = float("-inf")
-    best_params: dict = None
+    params: ParamSet = None  # holds the selected epoch's values
     final: dict = None
 
     def to_dict(self) -> dict:
@@ -177,13 +177,12 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             out = forward(gt, params, cfg, gumbel_rng, dropout_rng, training=True)
             loss, sup_val, reg_val = total_loss(out, labels, split.train, cfg)
             grads = ad.backward(loss, params.tensors)
+            adam_step(main, {n: grads[n] for n in main}, state_main, cfg.lr, cfg.weight_decay)
+            if env:
+                adam_step(env, {n: grads[n] for n in env}, state_env, lr_env, cfg.weight_decay)
+            logits = _eval_forward(gt, params, cfg, cfg.seed)
         except NumericError as exc:
             raise TrainAbort(epoch, str(exc)) from exc
-        adam_step(main, {n: grads[n] for n in main}, state_main, cfg.lr, cfg.weight_decay)
-        if env:
-            adam_step(env, {n: grads[n] for n in env}, state_env, lr_env, cfg.weight_decay)
-
-        logits = _eval_forward(gt, params, cfg, cfg.seed)
         rec = {
             "epoch": epoch,
             "loss": float(loss.value),
@@ -206,7 +205,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                 break
 
     params.load_values(best_values)
-    result.best_params = best_values
+    result.params = params
     report = eval_report(params, dataset, cfg)
     result.final = report.to_dict()
     return result

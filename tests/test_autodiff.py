@@ -1,6 +1,10 @@
 """Tests for the reverse-mode tape: primitive values against closed-form or
 hand-computed oracles, gradients against central finite differences."""
 
+import gc
+import inspect
+import weakref
+
 import numpy as np
 import pytest
 
@@ -475,3 +479,56 @@ def test_sample_gumbel_deterministic_per_seed():
     a = ad.sample_gumbel(Rng(34), (5, 5))
     b = ad.sample_gumbel(Rng(34), (5, 5))
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# tape lifetime
+# ---------------------------------------------------------------------------
+
+_ADJ = SparseAdj.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
+PRIMITIVES = {
+    "add": lambda x: ad.add(x, x),
+    "sub": lambda x: ad.sub(x, x),
+    "mul": lambda x: ad.mul(x, x),
+    "div": lambda x: ad.div(x, x),
+    "scale": lambda x: ad.scale(x, 2.0),
+    "matmul": lambda x: ad.matmul(x, x),
+    "transpose": ad.transpose,
+    "column": lambda x: ad.column(x, 1),
+    "slice_rows": lambda x: ad.slice_rows(x, 0, 1),
+    "reshape": lambda x: ad.reshape(x, (4,)),
+    "spmm": lambda x: ad.spmm(_ADJ, x),
+    "relu": ad.relu,
+    "leaky_relu": ad.leaky_relu,
+    "exp": ad.exp,
+    "log": ad.log,
+    "row_softmax": ad.row_softmax,
+    "row_log_softmax": ad.row_log_softmax,
+    "dropout": lambda x: ad.dropout(x, 0.5, Rng(0), True),
+    "sum_all": ad.sum_all,
+    "masked_row_mean": lambda x: ad.masked_row_mean(x, [0]),
+    "cross_entropy": lambda x: ad.cross_entropy(x, [0, 1], [0, 1]),
+    "gather_rows": lambda x: ad.gather_rows(x, [1, 0, 1]),
+    "segment_sum": lambda x: ad.segment_sum(x, [0, 0], 1),
+    "edge_combine": lambda x: ad.edge_combine(parameter([0.5, 1.5]), x, [0, 1], [1, 0], 2),
+}
+
+
+def test_every_primitive_has_a_lifetime_case():
+    public = {name for name, f in vars(ad).items()
+              if inspect.isfunction(f) and f.__module__ == ad.__name__
+              and not name.startswith("_")}
+    assert public - {"backward", "constant", "parameter", "sample_gumbel"} == set(PRIMITIVES)
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_primitive_output_freed_without_cyclic_gc(name):
+    # a backward closure that captures its own output node is a reference
+    # cycle; the tape would then outlive its last reference
+    x = parameter([[0.5, 1.0], [2.0, 0.25]])
+    gc.disable()
+    try:
+        ref = weakref.ref(PRIMITIVES[name](x))
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -9,6 +9,7 @@ import pytest
 from envgnn.cli import (
     EXIT_COMPAT,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     load_checkpoint,
@@ -178,6 +179,25 @@ def test_train_config_file_with_flag_override(tmp_path, data_dir):
     assert "config_file_hash" in run
 
 
+def test_train_config_file_not_overridden_by_flag_defaults(tmp_path, data_dir):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"method": "erm", "backbone": "gat", "seed": 7, "epochs": 2,
+                   "hidden": 8}, fh)
+    out = str(tmp_path / "run")
+    rc = main(["train", "--data", data_dir, "--config", cfg_path, "--out", out])
+    assert rc == EXIT_OK
+    run = json.load(open(os.path.join(out, "run.json")))
+    assert (run["config"]["method"], run["config"]["backbone"], run["seed"]) == ("erm", "gat", 7)
+
+
+def test_train_huge_learning_rate_exits_numeric(tmp_path, data_dir, capsys):
+    rc = main(["train", "--data", data_dir, "--out", str(tmp_path / "blowup"),
+               "--epochs", "3", "--hidden", "8", "--lr", "1e308"])
+    assert rc == EXIT_NUMERIC
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_train_erm_warns_about_moe_flags(tmp_path, data_dir, capsys):
     out = str(tmp_path / "erm")
     rc = main(["train", "--data", data_dir, "--out", out, "--epochs", "2",
@@ -310,8 +330,47 @@ def test_checkpoint_save_load_roundtrip(tmp_path):
     cfg = TrainConfig(hidden=8, seed=2)
     params = init_params(cfg, 5, 3, Rng(2).substream(STREAM_INIT))
     path = str(tmp_path / "ck.json")
-    save_checkpoint(path, params, cfg)
+    save_checkpoint(path, params)
     back, back_cfg = load_checkpoint(path)
     assert back_cfg == cfg
     for name, t in params.tensors.items():
         assert np.array_equal(back[name].value, t.value)
+
+
+def _edit_checkpoint(src, dst, edit):
+    payload = json.load(open(src))
+    edit(payload)
+    with open(dst, "w") as fh:
+        json.dump(payload, fh)
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda p: p.pop("num_classes"), "num_classes", id="missing-field"),
+    pytest.param(lambda p: p["params"].pop("l1.k2.w_self"), "l1.k2.w_self",
+                 id="missing-param"),
+    pytest.param(lambda p: p["params"].__setitem__("l9.w", p["params"]["phi_in"]), "l9.w",
+                 id="extra-param"),
+    pytest.param(lambda p: p["params"]["phi_out"].__setitem__("shape", [1, 1]), "phi_out",
+                 id="wrong-shape"),
+    pytest.param(lambda p: p["config"].__setitem__("colour", "red"), "colour",
+                 id="unknown-config-field"),
+])
+def test_malformed_checkpoint_exits_compat(tmp_path, data_dir, run_dir, capsys, edit, named):
+    ckpt = str(tmp_path / "bad.json")
+    _edit_checkpoint(os.path.join(run_dir, "checkpoint.json"), ckpt, edit)
+    rc = main(["eval", "--data", data_dir, "--checkpoint", ckpt,
+               "--out", str(tmp_path / "e")])
+    assert rc == EXIT_COMPAT
+    assert named in capsys.readouterr().err
+
+
+def test_eval_overflowing_checkpoint_exits_numeric(tmp_path, data_dir, run_dir):
+    def blow_up(payload):
+        rec = payload["params"]["phi_in"]
+        rec["values"] = [1e308] * len(rec["values"])
+
+    ckpt = str(tmp_path / "huge.json")
+    _edit_checkpoint(os.path.join(run_dir, "checkpoint.json"), ckpt, blow_up)
+    rc = main(["eval", "--data", data_dir, "--checkpoint", ckpt,
+               "--out", str(tmp_path / "e")])
+    assert rc == EXIT_NUMERIC

@@ -20,6 +20,7 @@ from envgnn.graphdata import (
     save_graph,
     split_random,
 )
+from envgnn.trainer import disjoint_union
 
 
 def path_graph():
@@ -155,38 +156,38 @@ def test_roundtrip_preserves_floats_exactly(tmp_path):
 def test_norm_adj_single_edge():
     g = Graph(2, np.zeros((2, 1)), [0, 0], [[0, 1]], 1)
     adj = build_norm_adj(g)
-    assert adj.value_at(0, 1) == 1.0
-    assert adj.value_at(1, 0) == 1.0
+    assert adj.csr[0, 1] == 1.0
+    assert adj.csr[1, 0] == 1.0
 
 
 def test_norm_adj_triangle():
     g = Graph(3, np.zeros((3, 1)), [0, 0, 0], [[0, 1], [1, 2], [0, 2]], 1)
     adj = build_norm_adj(g)
     for u, v in [(0, 1), (1, 2), (0, 2)]:
-        assert abs(adj.value_at(u, v) - 0.5) <= 1e-15
-        assert abs(adj.value_at(v, u) - 0.5) <= 1e-15
+        assert abs(adj.csr[u, v] - 0.5) <= 1e-15
+        assert abs(adj.csr[v, u] - 0.5) <= 1e-15
 
 
 def test_norm_adj_star_center_leaf():
     edges = [[0, i] for i in range(1, 5)]
     g = Graph(5, np.zeros((5, 1)), [0] * 5, edges, 1)
     adj = build_norm_adj(g)
-    assert abs(adj.value_at(0, 1) - 0.5) <= 1e-15  # 1/sqrt(4*1)
+    assert abs(adj.csr[0, 1] - 0.5) <= 1e-15  # 1/sqrt(4*1)
 
 
 def test_norm_adj_self_loops():
     g = Graph(2, np.zeros((2, 1)), [0, 0], [[0, 1]], 1)
     adj = build_norm_adj(g, add_self_loops=True)
     # degrees become 2 after the loop: off-diagonal 1/2, diagonal 1/2
-    assert abs(adj.value_at(0, 1) - 0.5) <= 1e-15
-    assert abs(adj.value_at(0, 0) - 0.5) <= 1e-15
+    assert abs(adj.csr[0, 1] - 0.5) <= 1e-15
+    assert abs(adj.csr[0, 0] - 0.5) <= 1e-15
     assert adj.nnz == 4
 
 
 def test_norm_adj_isolated_node_empty_row():
     g = Graph(3, np.zeros((3, 1)), [0, 0, 0], [[0, 1]], 1)
     adj = build_norm_adj(g)
-    assert adj.neighbors(2).size == 0
+    assert adj.csr[2].nnz == 0
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +281,20 @@ def test_dataset_content_hash_detects_edits(tmp_path):
     assert _content_hash(d, dirs) != manifest["content_hash"]
 
 
+def test_load_dataset_rejects_out_of_range_split_index(tmp_path):
+    d = str(tmp_path / "ds")
+    save_dataset(d, make_dataset())
+    spath = os.path.join(d, "splits.json")
+    with open(spath) as fh:
+        splits = json.load(fh)
+    splits["valid"].append(12)  # the two ID graphs hold nodes 0..11
+    with open(spath, "w") as fh:
+        json.dump(splits, fh)
+    with pytest.raises(ParseError, match="splits.json") as exc:
+        load_dataset(d)
+    assert exc.value.path == spath
+
+
 def test_dataset_rejects_mixed_dims():
     g1 = Graph(2, np.zeros((2, 3)), [0, 0], [], 1)
     g2 = Graph(2, np.zeros((2, 4)), [0, 0], [], 1)
@@ -289,6 +304,11 @@ def test_dataset_rejects_mixed_dims():
 
 def test_dataset_offsets_and_pooled_labels():
     ds = make_dataset()
-    assert ds.id_offsets() == [0, 6]
     assert ds.id_node_count() == 12
-    assert len(ds.pooled_id_labels()) == 12
+    union = disjoint_union(ds.id_graphs)
+    assert union.n == 12
+    assert np.array_equal(union.labels,
+                          np.concatenate([ds.id_graphs[0].labels, ds.id_graphs[1].labels]))
+    # the second graph's edges start at offset 6
+    assert np.array_equal(union.edges, np.vstack([ds.id_graphs[0].edges,
+                                                  ds.id_graphs[1].edges + 6]))

@@ -335,7 +335,7 @@ def test_baseline_gcn_hand_fixture():
     assert np.abs(out.logits.value - expect).max() <= 1e-12
     assert out.posterior is None
     # spot-check one normalization coefficient: deg(0)=2, deg(1)=3 with loops
-    assert abs(gt.adj.value_at(0, 1) - 1.0 / np.sqrt(6.0)) <= 1e-12
+    assert abs(gt.adj.csr[0, 1] - 1.0 / np.sqrt(6.0)) <= 1e-12
 
 
 def test_baseline_gat_zero_bias_is_mean_aggregation():

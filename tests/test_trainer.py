@@ -209,8 +209,8 @@ def test_training_deterministic():
         assert ra["loss"] == rb["loss"]
         assert ra["valid_metric"] == rb["valid_metric"]
     assert a.selected_epoch == b.selected_epoch
-    for k in a.best_params:
-        assert np.array_equal(a.best_params[k], b.best_params[k])
+    for k, t in a.params.tensors.items():
+        assert np.array_equal(t.value, b.params[k].value)
 
 
 def test_erm_history_has_zero_regularizer():
@@ -260,8 +260,8 @@ def test_lr_env_separates_estimator_rate():
     moving = train(ds, TrainConfig(hidden=8, epochs=5, seed=5))
     init = init_params(TrainConfig(hidden=8, seed=5), ds.num_features,
                        ds.num_classes, Rng(5).substream(STREAM_INIT)).values()
-    assert np.array_equal(frozen.best_params["l1.w_env"], init["l1.w_env"])
-    assert not np.array_equal(moving.best_params["l1.w_env"], init["l1.w_env"])
+    assert np.array_equal(frozen.params["l1.w_env"].value, init["l1.w_env"])
+    assert not np.array_equal(moving.params["l1.w_env"].value, init["l1.w_env"])
 
 
 # ---------------------------------------------------------------------------
