@@ -11,6 +11,15 @@ All values are 64-bit floats. Every primitive checks its output for NaN/Inf
 and raises ``NumericError`` instead of letting non-finite values propagate.
 Stochastic draws (dropout masks, any noise supplied by the caller) are
 captured at forward time and treated as constants by the backward pass.
+
+The edge primitives scatter without ``np.add.at``. ``edge_combine`` takes a
+``sparse.EdgeIndex`` built once per graph: its forward is the CSR product
+``A_dst(w) @ msgs`` over the target-ordered layout, and its ``msgs``
+gradient is ``A_src(w) @ g`` over the source-ordered one. ``segment_sum``
+and the backward of ``gather_rows`` are one ``np.bincount`` per column. Both
+orders are stable sorts of the edge list and ``bincount`` adds in index
+order, so every per-node sum adds the same terms in the same order as the
+scatter it replaces, and results are bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import Rng
-from .sparse import DimensionError, SparseAdj
+from .sparse import DimensionError, EdgeIndex, SparseAdj
 
 
 class NumericError(FloatingPointError):
@@ -416,17 +425,21 @@ def cross_entropy(logits, labels, mask) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """``out[idx[i]] += vals[i]`` over rows of ``vals``, one ``bincount`` per
+    column; it adds in index order, so it is bitwise equal to ``np.add.at``."""
+    cols = vals.reshape(len(idx), -1)
+    out = np.empty((n, cols.shape[1]))
+    for c in range(cols.shape[1]):
+        out[:, c] = np.bincount(idx, weights=cols[:, c], minlength=n)
+    return out.reshape((n,) + vals.shape[1:])
+
+
 def gather_rows(a, idx) -> Tensor:
     a = _lift(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(a.value[idx], (a,), "gather_rows")
-
-    def bwd(g):
-        buf = np.zeros(a.shape)
-        np.add.at(buf, idx, g)
-        _accum(a, buf)
-
-    out._backward = bwd
+    out._backward = lambda g: _accum(a, _scatter_rows(idx, g, a.shape[0]))
     return out
 
 
@@ -434,29 +447,25 @@ def segment_sum(a, seg, n_segments: int) -> Tensor:
     """Sum rows of ``a`` grouped by segment id."""
     a = _lift(a)
     seg = np.asarray(seg, dtype=np.int64)
-    buf = np.zeros((n_segments,) + a.value.shape[1:])
-    np.add.at(buf, seg, a.value)
-    out = Tensor(buf, (a,), "segment_sum")
+    out = Tensor(_scatter_rows(seg, a.value, n_segments), (a,), "segment_sum")
     out._backward = lambda g: _accum(a, g[seg])
     return out
 
 
-def edge_combine(w, msgs, src, dst, n: int) -> Tensor:
+def edge_combine(w, msgs, edges: EdgeIndex) -> Tensor:
     """out[dst[e]] += w[e] * msgs[src[e]]; both ``w`` and ``msgs`` differentiable."""
     w, msgs = _lift(w), _lift(msgs)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if w.value.ndim != 1 or w.value.shape[0] != src.shape[0]:
+    if w.value.ndim != 1 or w.value.shape[0] != edges.num_edges:
         raise DimensionError("edge_combine: weight/edge count mismatch")
-    buf = np.zeros((n, msgs.value.shape[1]))
-    np.add.at(buf, dst, w.value[:, None] * msgs.value[src])
-    out = Tensor(buf, (w, msgs), "edge_combine")
+    if msgs.value.ndim != 2 or msgs.value.shape[0] != edges.n:
+        raise DimensionError(
+            f"edge_combine: {edges.n} nodes, message rows {msgs.value.shape[:1]}"
+        )
+    out = Tensor(edges.scatter_to_dst(w.value, msgs.value), (w, msgs), "edge_combine")
 
     def bwd(g):
-        _accum(w, (g[dst] * msgs.value[src]).sum(axis=1))
-        mbuf = np.zeros(msgs.shape)
-        np.add.at(mbuf, src, w.value[:, None] * g[dst])
-        _accum(msgs, mbuf)
+        _accum(w, (g[edges.dst] * msgs.value[edges.src]).sum(axis=1))
+        _accum(msgs, edges.scatter_to_src(w.value, g))
 
     out._backward = bwd
     return out

@@ -25,7 +25,8 @@ from . import __version__
 from .autodiff import NumericError
 from .config import TrainConfig
 from .gradcheck import run_gradcheck
-from .graphdata import dataset_manifest_hash, load_dataset, load_graph, save_dataset
+from .graphdata import (ParseError, dataset_manifest_hash, load_dataset, load_graph,
+                        read_json_object, save_dataset)
 from .model import export_branch_weights, init_params, ParamSet
 from .rng import ALGORITHM, STREAM_INIT, Rng
 from .shiftgen import PlantedConfig, SpuriousGenConfig, gen_planted_dataset, gen_spurious_dataset
@@ -112,9 +113,15 @@ def load_checkpoint(path: str) -> tuple[ParamSet, TrainConfig]:
     for key in ("config", "in_dim", "num_classes", "params"):
         if key not in payload:
             raise CheckpointError(f"{path}: missing field '{key}'")
+    for key in ("in_dim", "num_classes"):
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise CheckpointError(f"{path}: field '{key}' must be a positive integer")
+    if not isinstance(payload["config"], dict):
+        raise CheckpointError(f"{path}: field 'config' must be a JSON object")
     try:
         cfg = TrainConfig.from_dict(payload["config"])
-        params = init_params(cfg, int(payload["in_dim"]), int(payload["num_classes"]),
+        params = init_params(cfg, payload["in_dim"], payload["num_classes"],
                              Rng(cfg.seed).substream(STREAM_INIT))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad config: {exc}") from None
@@ -178,11 +185,16 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _load_json_object(path: str, flag: str) -> dict:
+    """The JSON object in a file named on the command line by ``flag``."""
+    try:
+        return read_json_object(path)
+    except ParseError as exc:
+        raise UsageError(f"{flag} {exc}") from None
+
+
 def _load_train_config(args) -> TrainConfig:
-    base = {}
-    if args.config:
-        with open(args.config) as fh:
-            base = json.load(fh)
+    base = _load_json_object(args.config, "--config") if args.config else {}
     # only flags given on the command line override the file; TrainConfig
     # supplies the defaults
     overrides = {}
@@ -280,14 +292,15 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep(args) -> int:
     _prepare_out(args.out, args.force)
-    with open(args.grid) as fh:
-        grid = json.load(fh)
+    grid = _load_json_object(args.grid, "--grid")
+    not_lists = sorted(k for k, v in grid.items() if not isinstance(v, list))
+    if not_lists:
+        raise UsageError(f"--grid {args.grid}: the values of {not_lists} must be lists")
     seeds = [int(s) for s in args.seeds.split(",")]
     ds = load_dataset(args.data)
     base = TrainConfig()
     if args.config:
-        with open(args.config) as fh:
-            base = TrainConfig.from_dict(json.load(fh))
+        base = TrainConfig.from_dict(_load_json_object(args.config, "--config"))
     best_cfg, results = sweep(ds, grid, seeds, base)
     payload = {"best_config": best_cfg.to_dict(), "results": results,
                "grid": grid, "seeds": seeds}

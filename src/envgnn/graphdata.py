@@ -83,11 +83,7 @@ def canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 def compute_degrees(n: int, edges: np.ndarray) -> np.ndarray:
-    deg = np.zeros(n, dtype=np.int64)
-    if len(edges):
-        np.add.at(deg, edges[:, 0], 1)
-        np.add.at(deg, edges[:, 1], 1)
-    return deg
+    return np.bincount(edges[:, 0], minlength=n) + np.bincount(edges[:, 1], minlength=n)
 
 
 @dataclass
@@ -178,7 +174,12 @@ def load_graph(directory: str, num_classes: int | None = None) -> Graph:
                 features.append([float(x) for x in row])
             except ValueError:
                 raise ParseError(fpath, i, "non-numeric feature value") from None
+    if not features:
+        raise ParseError(fpath, None, "no feature rows")
     features = np.asarray(features, dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ParseError(fpath, None, f"non-finite feature value in row {np.argmin(finite) + 1}")
     n = features.shape[0]
 
     labels = []
@@ -326,29 +327,59 @@ def _content_hash(directory: str, graph_dirs: list[str]) -> str:
     return h.hexdigest()
 
 
+def read_json_object(path: str) -> dict:
+    """The JSON object stored in ``path``; anything else is a ``ParseError``."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # malformed JSON or bytes that are not text
+            raise ParseError(path, None, f"not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ParseError(path, None, f"expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _field(obj: dict, key: str, path: str, ok, what: str):
+    if key not in obj:
+        raise ParseError(path, None, f"missing field '{key}'")
+    if not ok(obj[key]):
+        raise ParseError(path, None,
+                         f"field '{key}' must be {what}, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
+def _is_list_of(v, kind: type) -> bool:
+    # ``type(x) is int`` also rejects JSON booleans, which are ints in Python
+    return isinstance(v, list) and all(type(x) is kind for x in v)
+
+
 def load_dataset(directory: str) -> Dataset:
     mpath = os.path.join(directory, "dataset.json")
     if not os.path.exists(mpath):
         raise FileNotFoundError(f"missing dataset manifest: {mpath}")
-    with open(mpath) as fh:
-        manifest = json.load(fh)
-    c = int(manifest["C"])
-    id_graphs = [load_graph(os.path.join(directory, d), c) for d in manifest["id_graphs"]]
-    ood_graphs = [load_graph(os.path.join(directory, d), c) for d in manifest["ood_graphs"]]
+    manifest = read_json_object(mpath)
+    c = _field(manifest, "C", mpath, lambda v: type(v) is int and v >= 1, "a positive integer")
+    id_dirs, ood_dirs = (
+        _field(manifest, key, mpath, lambda v: _is_list_of(v, str), "a list of directory names")
+        for key in ("id_graphs", "ood_graphs")
+    )
+    if not id_dirs:
+        raise ParseError(mpath, None, "field 'id_graphs' is empty")
+    id_graphs = [load_graph(os.path.join(directory, d), c) for d in id_dirs]
+    ood_graphs = [load_graph(os.path.join(directory, d), c) for d in ood_dirs]
     spath = os.path.join(directory, "splits.json")
-    with open(spath) as fh:
-        splits = json.load(fh)
+    splits = read_json_object(spath)
     n_id = sum(g.n for g in id_graphs)
     for key in ("train", "valid", "test_id"):
-        if key not in splits:
-            raise ParseError(spath, None, f"missing split '{key}'")
-        idx = np.asarray(splits[key], dtype=np.int64)
-        bad = idx[(idx < 0) | (idx >= n_id)]
-        if len(bad):
-            raise ParseError(spath, None,
-                             f"'{key}' index {bad[0]} out of range [0, {n_id})")
+        idx = _field(splits, key, spath, lambda v: _is_list_of(v, int), "a list of node indices")
+        if idx and not (min(idx) >= 0 and max(idx) < n_id):
+            bad = next(i for i in idx if not 0 <= i < n_id)
+            raise ParseError(spath, None, f"'{key}' index {bad} out of range [0, {n_id})")
     ood_groups = splits.get("ood_groups", [])
-    split = SplitSpec(splits["train"], splits["valid"], splits["test_id"], ood_groups)
+    try:
+        split = SplitSpec(splits["train"], splits["valid"], splits["test_id"], ood_groups)
+    except ValueError as exc:
+        raise ParseError(spath, None, str(exc)) from None
     return Dataset(id_graphs, ood_graphs, split, manifest)
 
 

@@ -23,33 +23,44 @@ from .autodiff import Tensor, constant, parameter
 from .config import TrainConfig
 from .graphdata import Graph, build_norm_adj
 from .rng import Rng
-from .sparse import SparseAdj
+from .sparse import EdgeIndex, SparseAdj
 
 
 @dataclass
 class GraphTensors:
-    """Per-graph operands prepared once: features, adjacency, edge index."""
+    """Per-graph operands, prepared once; each backbone gets the one sparse
+    structure it reads.
+
+    GCN propagates through ``adj``, a normalized CSR adjacency. GAT attends
+    over ``edges``: every stored edge in both directions plus one self loop
+    per node, with stable target- and source-ordered CSR row layouts. The
+    attention primitives reuse that layout every step, as weighted CSR
+    products and ``reduceat`` segment maxima; the stable orders make each
+    per-node sum add its terms in edge order, exactly as an ``np.add.at``
+    scatter over the edge list would.
+    """
 
     n: int
     features: Tensor
-    adj: SparseAdj  # normalization per config (self loops on/off)
-    edge_src: np.ndarray  # directed incidences incl. self loops (attention)
-    edge_dst: np.ndarray
+    adj: SparseAdj | None  # GCN only; normalization per config (self loops on/off)
+    edges: EdgeIndex | None  # GAT only; directed incidences incl. self loops
     stored_edges: int  # symmetric stored entries, self loops excluded
 
 
 def prepare_graph(g: Graph, cfg: TrainConfig) -> GraphTensors:
-    adj = build_norm_adj(g, add_self_loops=cfg.use_self_loops)
-    e = g.edges
-    src = np.concatenate([e[:, 1], e[:, 0], np.arange(g.n)])
-    dst = np.concatenate([e[:, 0], e[:, 1], np.arange(g.n)])
+    adj = edges = None
+    if cfg.backbone == "gcn":
+        adj = build_norm_adj(g, add_self_loops=cfg.use_self_loops)
+    else:
+        e, loops = g.edges, np.arange(g.n)
+        edges = EdgeIndex.from_coo(g.n, np.concatenate([e[:, 1], e[:, 0], loops]),
+                                   np.concatenate([e[:, 0], e[:, 1], loops]))
     return GraphTensors(
         n=g.n,
         features=constant(g.features),
         adj=adj,
-        edge_src=src,
-        edge_dst=dst,
-        stored_edges=2 * len(e),
+        edges=edges,
+        stored_edges=2 * len(g.edges),
     )
 
 
@@ -204,17 +215,17 @@ def _branch_attention(z: Tensor, gt: GraphTensors, w_a: Tensor, b: Tensor,
     t = ad.matmul(z, ad.transpose(w_a))
     alpha = ad.matmul(t, ad.slice_rows(b, 0, h))        # score share of the center
     beta = ad.matmul(t, ad.slice_rows(b, h, 2 * h))     # score share of the neighbor
+    src, dst = gt.edges.src, gt.edges.dst
     scores = ad.leaky_relu(
-        ad.add(ad.gather_rows(alpha, gt.edge_dst), ad.gather_rows(beta, gt.edge_src)),
+        ad.add(ad.gather_rows(alpha, dst), ad.gather_rows(beta, src)),
         slope,
     )
     # softmax over each destination's incident edges, max-shifted per segment
-    seg_max = np.full(gt.n, -np.inf)
-    np.maximum.at(seg_max, gt.edge_dst, scores.value[:, 0])
-    shifted = ad.sub(scores, constant(seg_max[gt.edge_dst, None]))
+    seg_max = gt.edges.segment_max(scores.value[:, 0])
+    shifted = ad.sub(scores, constant(seg_max[dst, None]))
     ex = ad.exp(shifted)
-    denom = ad.segment_sum(ex, gt.edge_dst, gt.n)
-    att = ad.div(ex, ad.gather_rows(denom, gt.edge_dst))
+    denom = ad.segment_sum(ex, dst, gt.n)
+    att = ad.div(ex, ad.gather_rows(denom, dst))
     return ad.reshape(att, (-1,))
 
 
@@ -225,7 +236,7 @@ def moe_gat_preact(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, lay
         ad.edge_touches.add(gt.stored_edges)
         msgs = ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_d"]))
         branch = ad.add(
-            ad.edge_combine(att, msgs, gt.edge_src, gt.edge_dst, gt.n),
+            ad.edge_combine(att, msgs, gt.edges),
             ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_self"])),
         )
         gated = ad.mul(ad.column(e, j - 1), branch)
@@ -287,8 +298,7 @@ def baseline_forward(gt: GraphTensors, params: ParamSet, cfg: TrainConfig,
         else:
             att = _branch_attention(z, gt, w, params[f"l{l}.b"])
             ad.edge_touches.add(gt.stored_edges)
-            h = ad.relu(ad.edge_combine(att, ad.matmul(z, ad.transpose(w)),
-                                        gt.edge_src, gt.edge_dst, gt.n))
+            h = ad.relu(ad.edge_combine(att, ad.matmul(z, ad.transpose(w)), gt.edges))
         h = ad.dropout(h, cfg.dropout, dropout_rng, training)
         z = ad.add(h, z)
     logits = ad.matmul(z, ad.transpose(params["phi_out"]))

@@ -12,7 +12,7 @@ from envgnn import autodiff as ad
 from envgnn.autodiff import NumericError, Tensor, constant, parameter
 from envgnn.optim import finite_diff_grad
 from envgnn.rng import Rng
-from envgnn.sparse import DimensionError, SparseAdj
+from envgnn.sparse import DimensionError, EdgeIndex, SparseAdj
 
 
 def fd_check(build, theta, tol=1e-6, h=1e-5):
@@ -404,7 +404,7 @@ def test_edge_combine_matches_loop():
     dst = rng.integers(0, n, e)
     w = rng.normal((e,))
     msgs = rng.normal((n, 3))
-    out = ad.edge_combine(constant(w), constant(msgs), src, dst, n)
+    out = ad.edge_combine(constant(w), constant(msgs), EdgeIndex.from_coo(n, src, dst))
     expect = np.zeros((n, 3))
     for i in range(e):
         expect[dst[i]] += w[i] * msgs[src[i]]
@@ -414,12 +414,11 @@ def test_edge_combine_matches_loop():
 def test_edge_combine_gradients():
     rng = Rng(32)
     n, e = 5, 7
-    src = rng.integers(0, n, e)
-    dst = rng.integers(0, n, e)
+    edges = EdgeIndex.from_coo(n, rng.integers(0, n, e), rng.integers(0, n, e))
     fd_check(
         lambda p: ad.sum_all(
-            ad.mul(ad.edge_combine(p["w"], p["m"], src, dst, n),
-                   ad.edge_combine(p["w"], p["m"], src, dst, n))),
+            ad.mul(ad.edge_combine(p["w"], p["m"], edges),
+                   ad.edge_combine(p["w"], p["m"], edges))),
         {"w": rng.normal((e,)), "m": rng.normal((n, 3))},
     )
 
@@ -427,7 +426,87 @@ def test_edge_combine_gradients():
 def test_edge_combine_validates_weight_shape():
     with pytest.raises(DimensionError):
         ad.edge_combine(constant(np.ones((2, 2))), constant(np.ones((3, 2))),
-                        [0, 1], [1, 0], 3)
+                        EdgeIndex.from_coo(3, [0, 1], [1, 0]))
+
+
+def test_edge_combine_validates_message_rows():
+    with pytest.raises(DimensionError):
+        ad.edge_combine(constant(np.ones(2)), constant(np.ones((4, 2))),
+                        EdgeIndex.from_coo(3, [0, 1], [1, 0]))
+
+
+def random_edges(seed, n=9, e=40):
+    """A random edge list with repeated pairs; nodes n-2 and n-1 receive no
+    edge (n-1 sends none either)."""
+    rng = Rng(seed)
+    src = rng.integers(0, n - 1, e)
+    dst = rng.integers(0, n - 2, e)
+    src[e // 2:] = src[: e - e // 2]  # repeat the first half's pairs
+    dst[e // 2:] = dst[: e - e // 2]
+    return EdgeIndex.from_coo(n, src, dst)
+
+
+def add_at(idx, vals, n):
+    buf = np.zeros((n,) + vals.shape[1:])
+    np.add.at(buf, idx, vals)
+    return buf
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_edge_ops_equal_add_at_exactly(seed):
+    # the CSR and bincount paths must add the same terms in the same order as
+    # np.add.at, so the comparison is exact, not within a tolerance
+    edges = random_edges(seed)
+    n, e = edges.n, edges.num_edges
+    rng = Rng(seed + 100)
+    w, msgs, g = rng.normal((e,)), rng.normal((n, 4)), rng.normal((n, 4))
+    wp, mp = parameter(w), parameter(msgs)
+    out = ad.edge_combine(wp, mp, edges)
+    np.testing.assert_array_equal(
+        out.value, add_at(edges.dst, w[:, None] * msgs[edges.src], n))
+
+    # d/d(out) of sum(out * g) is g itself, bit for bit
+    grads = ad.backward(ad.sum_all(ad.mul(out, constant(g))), {"w": wp, "m": mp})
+    w_grad = np.zeros(e)
+    for i in range(e):
+        for k in range(4):
+            w_grad[i] += g[edges.dst[i], k] * msgs[edges.src[i], k]
+    np.testing.assert_array_equal(grads["w"], w_grad)
+    np.testing.assert_array_equal(grads["m"], add_at(edges.src, w[:, None] * g[edges.dst], n))
+
+    vals = rng.normal((e, 3))
+    np.testing.assert_array_equal(ad.segment_sum(constant(vals), edges.dst, n).value,
+                                  add_at(edges.dst, vals, n))
+    col = rng.normal((e, 1))
+    np.testing.assert_array_equal(ad.segment_sum(constant(col), edges.dst, n).value,
+                                  add_at(edges.dst, col, n))
+
+    a = parameter(rng.normal((n, 3)))
+    ge = rng.normal((e, 3))
+    grads = ad.backward(ad.sum_all(ad.mul(ad.gather_rows(a, edges.src), constant(ge))),
+                        {"a": a})
+    np.testing.assert_array_equal(grads["a"], add_at(edges.src, ge, n))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_segment_max_equals_loop_exactly(seed):
+    edges = random_edges(seed)
+    v = Rng(seed + 200).normal((edges.num_edges,))
+    expect = np.full(edges.n, -np.inf)
+    for i in range(edges.num_edges):
+        expect[edges.dst[i]] = max(expect[edges.dst[i]], v[i])
+    got = edges.segment_max(v)
+    np.testing.assert_array_equal(got, expect)
+    assert np.isneginf(got[-2:]).all()
+
+
+def test_edge_index_orders_are_stable():
+    edges = random_edges(7)
+    for order, ptr, key in ((edges.by_dst, edges.dst_ptr, edges.dst),
+                            (edges.by_src, edges.src_ptr, edges.src)):
+        for u in range(edges.n):
+            np.testing.assert_array_equal(order[ptr[u]:ptr[u + 1]],
+                                          np.flatnonzero(key == u))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +589,8 @@ PRIMITIVES = {
     "cross_entropy": lambda x: ad.cross_entropy(x, [0, 1], [0, 1]),
     "gather_rows": lambda x: ad.gather_rows(x, [1, 0, 1]),
     "segment_sum": lambda x: ad.segment_sum(x, [0, 0], 1),
-    "edge_combine": lambda x: ad.edge_combine(parameter([0.5, 1.5]), x, [0, 1], [1, 0], 2),
+    "edge_combine": lambda x: ad.edge_combine(parameter([0.5, 1.5]), x,
+                                              EdgeIndex.from_coo(2, [0, 1], [1, 0])),
 }
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -191,6 +192,17 @@ def test_train_config_file_not_overridden_by_flag_defaults(tmp_path, data_dir):
     assert (run["config"]["method"], run["config"]["backbone"], run["seed"]) == ("erm", "gat", 7)
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "{oops"])
+def test_train_config_file_not_an_object_is_usage_error(tmp_path, data_dir, capsys, text):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        fh.write(text)
+    rc = main(["train", "--data", data_dir, "--config", cfg_path,
+               "--out", str(tmp_path / "run")])
+    assert rc == EXIT_USAGE
+    assert f"--config {cfg_path}" in capsys.readouterr().err
+
+
 def test_train_huge_learning_rate_exits_numeric(tmp_path, data_dir, capsys):
     rc = main(["train", "--data", data_dir, "--out", str(tmp_path / "blowup"),
                "--epochs", "3", "--hidden", "8", "--lr", "1e308"])
@@ -267,6 +279,41 @@ def test_sweep_bookkeeping(tmp_path, data_dir):
     payload = json.load(open(os.path.join(out, "sweep.json")))
     assert len(payload["results"]) == 4
     assert payload["best_config"]["lr"] in (0.01, 0.005)
+
+
+@pytest.mark.parametrize("flag, text, named", [
+    ("--grid", "[1, 2]", "expected a JSON object"),
+    ("--grid", '{"lr": 0.01}', "['lr'] must be lists"),
+    ("--config", '["epochs", 2]', "expected a JSON object"),
+])
+def test_sweep_malformed_grid_or_config_is_usage_error(tmp_path, data_dir, capsys,
+                                                       flag, text, named):
+    paths = {"--grid": str(tmp_path / "grid.json"), "--config": str(tmp_path / "base.json")}
+    with open(paths["--grid"], "w") as fh:
+        json.dump({"lr": [0.01]}, fh)
+    with open(paths["--config"], "w") as fh:
+        json.dump({"epochs": 1, "hidden": 4}, fh)
+    with open(paths[flag], "w") as fh:
+        fh.write(text)
+    rc = main(["sweep", "--data", data_dir, "--grid", paths["--grid"],
+               "--config", paths["--config"], "--out", str(tmp_path / "sweep")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{flag} {paths[flag]}" in err and named in err
+
+
+def test_eval_manifest_without_classes_is_usage_error(tmp_path, data_dir, run_dir, capsys):
+    d = str(tmp_path / "data")
+    shutil.copytree(data_dir, d)
+    mpath = os.path.join(d, "dataset.json")
+    manifest = json.load(open(mpath))
+    del manifest["C"]
+    with open(mpath, "w") as fh:
+        json.dump(manifest, fh)
+    rc = main(["eval", "--data", d, "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+               "--out", str(tmp_path / "e")])
+    assert rc == EXIT_USAGE
+    assert "dataset.json: missing field 'C'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,85 @@ def test_load_dataset_rejects_out_of_range_split_index(tmp_path):
     assert exc.value.path == spath
 
 
+def _edit_json(path, edit):
+    with open(path) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda m: m.pop("C"), "missing field 'C'", id="missing-C"),
+    pytest.param(lambda m: m.pop("id_graphs"), "missing field 'id_graphs'", id="missing-id"),
+    pytest.param(lambda m: m.pop("ood_graphs"), "missing field 'ood_graphs'",
+                 id="missing-ood"),
+    pytest.param(lambda m: m.__setitem__("C", "2"), "field 'C'", id="C-string"),
+    pytest.param(lambda m: m.__setitem__("C", 0), "field 'C'", id="C-zero"),
+    pytest.param(lambda m: m.__setitem__("id_graphs", "id_0"), "field 'id_graphs'",
+                 id="id-not-list"),
+    pytest.param(lambda m: m.__setitem__("ood_graphs", [0]), "field 'ood_graphs'",
+                 id="ood-not-names"),
+    pytest.param(lambda m: m.__setitem__("id_graphs", []), "'id_graphs' is empty",
+                 id="id-empty"),
+])
+def test_load_dataset_rejects_bad_manifest_field(tmp_path, edit, named):
+    d = str(tmp_path / "ds")
+    save_dataset(d, make_dataset())
+    mpath = os.path.join(d, "dataset.json")
+    _edit_json(mpath, edit)
+    with pytest.raises(ParseError, match=named) as exc:
+        load_dataset(d)
+    assert exc.value.path == mpath
+
+
+@pytest.mark.parametrize("name, text", [
+    ("dataset.json", "[1, 2]"),
+    ("dataset.json", "{not json"),
+    ("splits.json", "null"),
+])
+def test_load_dataset_rejects_non_object_json(tmp_path, name, text):
+    d = str(tmp_path / "ds")
+    save_dataset(d, make_dataset())
+    with open(os.path.join(d, name), "w") as fh:
+        fh.write(text)
+    with pytest.raises(ParseError, match=name):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("value", [[0.5], ["1"], [[1]], [True], 3])
+def test_load_dataset_rejects_non_integer_split(tmp_path, value):
+    d = str(tmp_path / "ds")
+    save_dataset(d, make_dataset())
+    _edit_json(os.path.join(d, "splits.json"), lambda s: s.__setitem__("train", value))
+    with pytest.raises(ParseError, match="field 'train' must be a list of node indices"):
+        load_dataset(d)
+
+
+def test_load_dataset_rejects_overlapping_splits(tmp_path):
+    d = str(tmp_path / "ds")
+    save_dataset(d, make_dataset())
+    spath = os.path.join(d, "splits.json")
+    _edit_json(spath, lambda s: s["valid"].append(s["train"][0]))
+    with pytest.raises(ParseError, match="disjoint") as exc:
+        load_dataset(d)
+    assert exc.value.path == spath
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", "no feature rows"),
+    ("1.0\t2.0\nnan\t0.5\n", "non-finite feature value in row 2"),
+    ("1.0\t1e999\n", "non-finite feature value in row 1"),
+])
+def test_load_graph_rejects_empty_or_non_finite_features(tmp_path, text, named):
+    d = str(tmp_path / "g")
+    save_graph(d, path_graph())
+    with open(os.path.join(d, "features.tsv"), "w") as fh:
+        fh.write(text)
+    with pytest.raises(ParseError, match=named):
+        load_graph(d)
+
+
 def test_dataset_rejects_mixed_dims():
     g1 = Graph(2, np.zeros((2, 3)), [0, 0], [], 1)
     g2 = Graph(2, np.zeros((2, 4)), [0, 0], [], 1)

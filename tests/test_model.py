@@ -193,7 +193,7 @@ def test_attention_rows_sum_to_one():
     z = constant(Rng(15).normal((g.n, 4)))
     att = _branch_attention(z, gt, params["l1.k1.w_a"], params["l1.k1.b"])
     sums = np.zeros(g.n)
-    np.add.at(sums, gt.edge_dst, att.value)
+    np.add.at(sums, gt.edges.dst, att.value)
     assert np.abs(sums - 1.0).max() <= 1e-9
 
 
@@ -205,7 +205,7 @@ def test_attention_zero_bias_uniform():
     z = constant(Rng(17).normal((g.n, 4)))
     att = _branch_attention(z, gt, params["l1.k1.w_a"], params["l1.k1.b"])
     sizes = g.degrees + 1
-    assert np.abs(att.value - 1.0 / sizes[gt.edge_dst]).max() <= 1e-12
+    assert np.abs(att.value - 1.0 / sizes[gt.edges.dst]).max() <= 1e-12
 
 
 def test_attention_matches_naive_loop():
@@ -219,9 +219,39 @@ def test_attention_matches_naive_loop():
         att = _branch_attention(constant(zv), gt, params["l1.k1.w_a"], params["l1.k1.b"])
         oracle = naive_attention(zv, g.edges, g.n,
                                  params["l1.k1.w_a"].value, params["l1.k1.b"].value)
-        for i in range(len(gt.edge_dst)):
-            u, v = int(gt.edge_dst[i]), int(gt.edge_src[i])
+        for i in range(len(gt.edges.dst)):
+            u, v = int(gt.edges.dst[i]), int(gt.edges.src[i])
             assert abs(att.value[i] - oracle[(u, v)]) <= 1e-10
+
+
+def test_attention_isolated_node_attends_to_itself_exactly():
+    # node 5 has no neighbour: its only incoming edge is its self loop, so
+    # its attention is exactly 1 and its aggregate is exactly its own message
+    cfg = TrainConfig(backbone="gat", num_branches=2, hidden=4)
+    g = Graph(6, Rng(40).normal((6, 4)), [0, 1, 2, 0, 1, 2],
+              [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]], 3)
+    gt = prepare_graph(g, cfg)
+    params = make_params(cfg)
+    params["l1.k1.b"].value = 0.4 * Rng(41).normal((8, 1))
+    zv = Rng(42).normal((6, 4))
+    att = _branch_attention(constant(zv), gt, params["l1.k1.w_a"], params["l1.k1.b"])
+    (own,) = np.flatnonzero(gt.edges.dst == 5)
+    assert gt.edges.src[own] == 5 and att.value[own] == 1.0
+    msgs = zv @ params["l1.k1.w_d"].value.T
+    out = ad.edge_combine(att, constant(msgs), gt.edges)
+    np.testing.assert_array_equal(out.value[5], msgs[5])
+    logits = forward(gt, params, cfg, Rng(43), Rng(44), training=False).logits.value
+    assert np.isfinite(logits).all()
+
+
+def test_prepare_graph_builds_only_the_backbone_operand():
+    g = random_graph(seed=45)
+    gcn = prepare_graph(g, TrainConfig(backbone="gcn"))
+    gat = prepare_graph(g, TrainConfig(backbone="gat"))
+    assert gcn.edges is None and gcn.adj is not None
+    assert gat.adj is None and gat.edges is not None
+    assert gcn.stored_edges == gat.stored_edges == 2 * len(g.edges)
+    assert gat.edges.num_edges == gat.stored_edges + g.n
 
 
 def test_moe_gat_matches_naive_loop():
@@ -347,8 +377,8 @@ def test_baseline_gat_zero_bias_is_mean_aggregation():
     z = g.features @ params["phi_in"].value.T
     msgs = z @ params["l1.w"].value.T
     agg = np.zeros_like(z)
-    for i in range(len(gt.edge_dst)):
-        agg[gt.edge_dst[i]] += msgs[gt.edge_src[i]] / (g.degrees[gt.edge_dst[i]] + 1)
+    for i in range(len(gt.edges.dst)):
+        agg[gt.edges.dst[i]] += msgs[gt.edges.src[i]] / (g.degrees[gt.edges.dst[i]] + 1)
     expect = (np.maximum(agg, 0.0) + z) @ params["phi_out"].value.T
     assert np.abs(out.logits.value - expect).max() <= 1e-10
 

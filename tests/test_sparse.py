@@ -1,9 +1,10 @@
-"""CSR container tests: construction, lookup, dense oracle."""
+"""Sparse container tests: construction, lookup, dense oracle."""
 
 import numpy as np
+import pytest
 
 from envgnn.rng import Rng
-from envgnn.sparse import SparseAdj
+from envgnn.sparse import DimensionError, EdgeIndex, SparseAdj
 
 
 def test_from_coo_roundtrip():
@@ -48,3 +49,9 @@ def test_densify_matches_manual_reconstruction():
     manual = np.zeros((n, n))
     np.add.at(manual, (rows, cols), vals)
     assert np.abs(s.densify() - manual).max() <= 1e-15
+
+
+@pytest.mark.parametrize("src, dst", [([0, 3], [1, 0]), ([0, -1], [1, 0]), ([0, 1], [1])])
+def test_edge_index_rejects_bad_endpoints(src, dst):
+    with pytest.raises(DimensionError):
+        EdgeIndex.from_coo(3, src, dst)
