@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import dataclass, asdict, fields
 
 BACKBONES = ("gcn", "gat")
 METHODS = ("canet", "erm")
+
+# the values each field annotation admits; bool is a subclass of int, so the
+# numeric kinds exclude it, and a float field takes an integer
+_ADMITS = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
 
 
 @dataclass
@@ -43,6 +53,12 @@ class TrainConfig:
     self_loops: bool | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")  # "int", "float | None", ...
+            value = getattr(self, f.name)
+            if not (_ADMITS[kind](value) or (optional and value is None)):
+                raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} "
+                                 f"{value!r}")
         if self.backbone not in BACKBONES:
             raise ValueError(f"backbone must be one of {BACKBONES}")
         if self.method not in METHODS:

@@ -8,15 +8,30 @@ File formats (all plain text, diffable):
 * ``splits.json``  {"train": [...], "valid": [...], "test_id": [...],
                     "ood_groups": [[...], ...] or ["dir", ...]}
 * ``dataset.json`` {name, C, D, metric, id_graphs, ood_graphs, generator}
+
+The TSV files hold decimal numbers as ``np.loadtxt`` reads them: an integer
+is an optional sign and ASCII digits within int64; a float is anything
+numpy's float parser takes (``1.5``, ``-2e-3``, ``inf``, ``nan``), and must
+then be finite. Fields are separated by single tabs and may carry
+surrounding spaces. Blank lines are skipped and CRLF line ends are
+accepted. There are no comments: a line starting with ``#`` is an error.
+Underscores (``1_0``), non-ASCII digits and integers beyond int64 are
+rejected, although Python's ``int()``/``float()`` accept them, and so is a
+label line of spaces only or with a stray tab. A rejected file raises
+``ParseError`` naming the file and the physical (1-based, blank lines
+counted) line.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import logging
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,15 +86,17 @@ class Graph:
 
 
 def canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
-    """Drop self loops and duplicates; store each undirected pair as (u<v)."""
+    """Drop self loops and duplicates; store each undirected pair as (u<v), sorted.
+
+    Sorting the 1-D key ``u * n + v`` gives the lexicographic order of the pairs.
+    """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range")
-    edges = edges[edges[:, 0] != edges[:, 1]]
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0) if len(lo) else np.zeros((0, 2), dtype=np.int64)
-    return pairs
+    key = np.unique((lo * n + hi)[lo != hi])
+    return np.stack([key // n, key % n], axis=1)
 
 
 def compute_degrees(n: int, edges: np.ndarray) -> np.ndarray:
@@ -141,78 +158,78 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int(token: str, path: str, line: int, what: str) -> int:
-    try:
-        val = int(token)
-    except ValueError:
-        raise ParseError(path, line, f"non-integer {what}: {token!r}") from None
-    return val
+def _read_table(path: str, dtype, line_error, valid=lambda table: True) -> np.ndarray:
+    """The TSV file ``path`` as a 2-D ``dtype`` array, read in one ``np.loadtxt`` pass.
+
+    If that fails or ``valid(table)`` is false, raises a ``ParseError`` at the first
+    non-blank line for which ``line_error(raw, values)`` returns a message; ``values``
+    are the line's fields, each read alone by the same ``np.loadtxt`` (None if rejected).
+    """
+    read = functools.partial(np.loadtxt, dtype=dtype, delimiter="\t", comments=None, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # raised for input with no rows
+        with contextlib.suppress(ValueError):
+            if valid(table := read(path)):
+                return table
+        with open(path) as fh:
+            for i, raw in enumerate(fh, start=1):
+                raw, values = raw.rstrip("\n"), []
+                for text in raw.split("\t") if raw else ():
+                    try:
+                        values.append(read([text])[0, 0])
+                    except (ValueError, IndexError):  # IndexError: an empty field is no row
+                        values.append(None)
+                message = values and line_error(raw, values)
+                if message:
+                    raise ParseError(path, i, message)
+    raise ParseError(path, None, "not a table, yet no line is at fault")
 
 
 def load_graph(directory: str, num_classes: int | None = None) -> Graph:
     """Load and validate a graph directory (edges/features/labels TSVs)."""
-    epath = os.path.join(directory, "edges.tsv")
-    fpath = os.path.join(directory, "features.tsv")
-    lpath = os.path.join(directory, "labels.tsv")
+    epath, fpath, lpath = (os.path.join(directory, f"{name}.tsv")
+                           for name in ("edges", "features", "labels"))
     for p in (epath, fpath, lpath):
         if not os.path.exists(p):
             raise FileNotFoundError(f"missing graph file: {p}")
 
-    features = []
-    width = None
-    with open(fpath) as fh:
-        for i, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            row = raw.split("\t")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(fpath, i, f"ragged feature row: {len(row)} != {width}")
-            try:
-                features.append([float(x) for x in row])
-            except ValueError:
-                raise ParseError(fpath, i, "non-numeric feature value") from None
-    if not features:
+    widths = []  # field count of each line scanned; the first line sets the width
+
+    def feature_error(raw, values):
+        widths.append(len(values))
+        if widths[-1] != widths[0]:
+            return f"ragged feature row: {widths[-1]} != {widths[0]}"
+        return "non-numeric feature value" if None in values else None
+
+    features = _read_table(fpath, np.float64, feature_error)
+    if not len(features):
         raise ParseError(fpath, None, "no feature rows")
-    features = np.asarray(features, dtype=np.float64)
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise ParseError(fpath, None, f"non-finite feature value in row {np.argmin(finite) + 1}")
     n = features.shape[0]
 
-    labels = []
-    with open(lpath) as fh:
-        for i, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            labels.append(_parse_int(raw, lpath, i, "label"))
+    labels = _read_table(lpath, np.int64, lambda raw, v: f"non-integer label: {raw.strip()!r}"
+                         if len(v) != 1 or v[0] is None else None, lambda t: t.shape[1] == 1)[:, 0]
     if len(labels) != n:
         raise ParseError(lpath, len(labels) + 1, f"expected {n} labels, got {len(labels)}")
-    labels = np.asarray(labels, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if n else 1
-    bad = np.nonzero((labels < 0) | (labels >= num_classes))[0]
-    if len(bad):
-        raise ParseError(lpath, int(bad[0]) + 1, f"label {labels[bad[0]]} out of range [0, {num_classes})")
+    num_classes = int(labels.max()) + 1 if num_classes is None else num_classes
+    if labels.min() < 0 or labels.max() >= num_classes:  # rescan to name the line
+        _read_table(lpath, np.int64, lambda raw, v: None if 0 <= v[0] < num_classes
+                    else f"label {v[0]} out of range [0, {num_classes})", lambda table: False)
 
-    edges = []
-    with open(epath) as fh:
-        for i, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            parts = raw.split("\t")
-            if len(parts) != 2:
-                raise ParseError(epath, i, f"expected 'u<TAB>v', got {raw!r}")
-            u = _parse_int(parts[0], epath, i, "node id")
-            v = _parse_int(parts[1], epath, i, "node id")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(epath, i, f"node id out of range [0, {n}): ({u}, {v})")
-            edges.append((u, v))
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    def edge_error(raw, ids):
+        if len(ids) != 2:
+            return f"expected 'u<TAB>v', got {raw!r}"
+        for token, v in zip(raw.split("\t"), ids):
+            if v is None:
+                return f"non-integer node id: {token!r}"
+        if not all(0 <= v < n for v in ids):
+            return f"node id out of range [0, {n}): ({ids[0]}, {ids[1]})"
+        return None
+
+    edges = _read_table(epath, np.int64, edge_error, lambda table: not table.size or (
+        table.shape[1] == 2 and table.min() >= 0 and table.max() < n))
     return Graph(n, features, labels, edges, num_classes)
 
 

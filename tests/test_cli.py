@@ -203,6 +203,37 @@ def test_train_config_file_not_an_object_is_usage_error(tmp_path, data_dir, caps
     assert f"--config {cfg_path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"hidden": "x"}, "hidden"),
+    ({"hidden": 2.5}, "hidden"),
+    ({"epochs": True}, "epochs"),
+    ({"lr": "0.1"}, "lr"),
+    ({"dropout": False}, "dropout"),
+    ({"exact_kl": 1}, "exact_kl"),
+    ({"backbone": ["gcn"]}, "backbone"),
+    ({"seed": None}, "seed"),
+])
+def test_train_config_field_of_wrong_type_is_usage_error(tmp_path, data_dir, capsys,
+                                                         config, field):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)
+    rc = main(["train", "--data", data_dir, "--config", cfg_path,
+               "--out", str(tmp_path / "run")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{field} must be" in err
+    assert "Traceback" not in err
+
+
+def test_train_config_admits_int_for_float_and_null_for_optional():
+    from envgnn.config import TrainConfig
+
+    cfg = TrainConfig.from_dict({"lr": 1, "tau": 2, "lr_env": None, "patience": None,
+                                 "self_loops": None})
+    assert (cfg.lr, cfg.tau, cfg.lr_env, cfg.patience, cfg.self_loops) == (1, 2, None, None, None)
+
+
 def test_train_huge_learning_rate_exits_numeric(tmp_path, data_dir, capsys):
     rc = main(["train", "--data", data_dir, "--out", str(tmp_path / "blowup"),
                "--epochs", "3", "--hidden", "8", "--lr", "1e308"])
@@ -401,6 +432,10 @@ def _edit_checkpoint(src, dst, edit):
                  id="wrong-shape"),
     pytest.param(lambda p: p["config"].__setitem__("colour", "red"), "colour",
                  id="unknown-config-field"),
+    pytest.param(lambda p: p["config"].__setitem__("hidden", "x"), "hidden must be int",
+                 id="config-field-str"),
+    pytest.param(lambda p: p["config"].__setitem__("hidden", 2.5), "hidden must be int",
+                 id="config-field-float"),
 ])
 def test_malformed_checkpoint_exits_compat(tmp_path, data_dir, run_dir, capsys, edit, named):
     ckpt = str(tmp_path / "bad.json")
