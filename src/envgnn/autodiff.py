@@ -2,10 +2,10 @@
 
 This is not a general autodiff system: it supports exactly the operations the
 models in this package need (dense matmul, CSR propagation, activations,
-softmax, dropout, cross-entropy, edge gather/scatter for attention, and a few
-reductions). Every primitive records its inputs and a backward closure on the
-implicit tape formed by the ``Tensor`` graph; ``backward`` replays it in
-reverse topological order, visiting each node once.
+softmax, dropout, cross-entropy, the branch gate, edge gather/softmax/scatter
+for attention, and a few reductions). Every primitive records its inputs and a
+backward closure on the implicit tape formed by the ``Tensor`` graph;
+``backward`` replays it in reverse topological order, visiting each node once.
 
 All values are 64-bit floats. Every primitive checks its output for NaN/Inf
 and raises ``NumericError`` instead of letting non-finite values propagate.
@@ -15,11 +15,12 @@ captured at forward time and treated as constants by the backward pass.
 The edge primitives scatter without ``np.add.at``. ``edge_combine`` takes a
 ``sparse.EdgeIndex`` built once per graph: its forward is the CSR product
 ``A_dst(w) @ msgs`` over the target-ordered layout, and its ``msgs``
-gradient is ``A_src(w) @ g`` over the source-ordered one. ``segment_sum``
-and the backward of ``gather_rows`` are one ``np.bincount`` per column. Both
-orders are stable sorts of the edge list and ``bincount`` adds in index
-order, so every per-node sum adds the same terms in the same order as the
-scatter it replaces, and results are bitwise equal to it.
+gradient is ``A_src(w) @ g`` over the source-ordered one. ``edge_softmax``
+shifts scores by ``EdgeIndex.segment_max``; its denominators and the backward
+of ``gather_rows`` are one ``np.bincount`` per column. Both orders are stable
+sorts of the edge list and ``bincount`` adds in index order, so every per-node
+sum adds the same terms in the same order as an ``np.add.at`` scatter over the
+edge list, and results are bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -167,18 +168,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = Tensor(a.value - b.value, (a, b), "sub")
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    out._backward = bwd
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = Tensor(a.value * b.value, (a, b), "mul")
@@ -191,23 +180,37 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = Tensor(a.value / b.value, (a, b), "div")
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g / b.value, a.shape))
-        _accum(b, _unbroadcast(-g * a.value / (b.value * b.value), b.shape))
-
-    out._backward = bwd
-    return out
-
-
 def scale(a, c: float) -> Tensor:
     a = _lift(a)
     c = float(c)
     out = Tensor(a.value * c, (a,), "scale")
     out._backward = lambda g: _accum(a, g * c)
+    return out
+
+
+def mix(e, branches) -> Tensor:
+    """Per-node gated sum ``sum_k e[:, k:k+1] * branches[k]`` of K (N, H)
+    branch outputs under (N, K) gates, adding the terms left to right."""
+    e = _lift(e)
+    branches = [_lift(b) for b in branches]
+    gates, vals = e.value, [b.value for b in branches]
+    if (not vals or vals[0].ndim != 2 or gates.shape != (vals[0].shape[0], len(vals))
+            or any(v.shape != vals[0].shape for v in vals)):
+        raise DimensionError(f"mix: gates {gates.shape}, branches {[v.shape for v in vals]}")
+    total = gates[:, 0:1] * vals[0]
+    for k in range(1, len(vals)):
+        total = total + gates[:, k : k + 1] * vals[k]
+    out = Tensor(total, (e, *branches), "mix")
+
+    def bwd(g):
+        ge = np.empty(gates.shape)
+        for k, v in enumerate(vals):
+            ge[:, k] = (g * v).sum(axis=1)
+        _accum(e, ge)
+        for k, b in enumerate(branches):
+            _accum(b, g * gates[:, k : k + 1])
+
+    out._backward = bwd
     return out
 
 
@@ -236,20 +239,6 @@ def transpose(a) -> Tensor:
     return out
 
 
-def column(a, k: int) -> Tensor:
-    """Column ``k`` of a 2-D tensor, kept as an (N, 1) tensor."""
-    a = _lift(a)
-    out = Tensor(a.value[:, k : k + 1], (a,), "column")
-
-    def bwd(g):
-        buf = np.zeros(a.shape)
-        buf[:, k : k + 1] = g
-        _accum(a, buf)
-
-    out._backward = bwd
-    return out
-
-
 def slice_rows(a, start: int, stop: int) -> Tensor:
     """Contiguous row slice a[start:stop]."""
     a = _lift(a)
@@ -261,13 +250,6 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
         _accum(a, buf)
 
     out._backward = bwd
-    return out
-
-
-def reshape(a, shape) -> Tensor:
-    a = _lift(a)
-    out = Tensor(a.value.reshape(shape), (a,), "reshape")
-    out._backward = lambda g: _accum(a, g.reshape(a.shape))
     return out
 
 
@@ -299,17 +281,6 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     pos = a.value > 0
     out = Tensor(np.where(pos, a.value, slope * a.value), (a,), "leaky_relu")
     out._backward = lambda g: _accum(a, g * np.where(pos, 1.0, slope))
-    return out
-
-
-def exp(a) -> Tensor:
-    a = _lift(a)
-    with np.errstate(over="ignore"):
-        y = np.exp(a.value)
-    out = Tensor(y, (a,), "exp")
-    # capture the array, not ``out``: a closure on its own node is a reference
-    # cycle that keeps the whole tape alive until the cyclic collector runs
-    out._backward = lambda g: _accum(a, g * y)
     return out
 
 
@@ -443,12 +414,25 @@ def gather_rows(a, idx) -> Tensor:
     return out
 
 
-def segment_sum(a, seg, n_segments: int) -> Tensor:
-    """Sum rows of ``a`` grouped by segment id."""
-    a = _lift(a)
-    seg = np.asarray(seg, dtype=np.int64)
-    out = Tensor(_scatter_rows(seg, a.value, n_segments), (a,), "segment_sum")
-    out._backward = lambda g: _accum(a, g[seg])
+def edge_softmax(scores, edges: EdgeIndex) -> Tensor:
+    """Softmax of (E, 1) edge scores over each target's incoming edges, as an
+    (E,) tensor; scores are shifted by their target's maximum first."""
+    scores = _lift(scores)
+    if scores.value.shape != (edges.num_edges, 1):
+        raise DimensionError(f"edge_softmax: {edges.num_edges} edges, scores {scores.shape}")
+    dst, n = edges.dst, edges.n
+    s = scores.value[:, 0]
+    ex = np.exp(s - edges.segment_max(s)[dst])
+    d = _scatter_rows(dst, ex, n)[dst]  # >= 1: each target's max term is exp(0)
+    out = Tensor(ex / d, (scores,), "edge_softmax")
+
+    # capture arrays, not ``out``: a closure on its own node is a reference
+    # cycle that keeps the whole tape alive until the cyclic collector runs
+    def bwd(g):
+        gx = g / d + _scatter_rows(dst, -g * ex / (d * d), n)[dst]
+        _accum(scores, (gx * ex)[:, None])
+
+    out._backward = bwd
     return out
 
 

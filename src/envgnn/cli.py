@@ -26,7 +26,7 @@ from .autodiff import NumericError
 from .config import TrainConfig
 from .gradcheck import run_gradcheck
 from .graphdata import (ParseError, dataset_manifest_hash, load_dataset, load_graph,
-                        read_json_object, save_dataset)
+                        read_json_object, save_dataset, write_json)
 from .model import export_branch_weights, init_params, ParamSet
 from .rng import ALGORITHM, STREAM_INIT, Rng
 from .shiftgen import PlantedConfig, SpuriousGenConfig, gen_planted_dataset, gen_spurious_dataset
@@ -40,7 +40,7 @@ EXIT_COMPAT = 5
 
 
 def _emit(record: dict):
-    sys.stdout.write(json.dumps(record) + "\n")
+    sys.stdout.write(json.dumps(record, allow_nan=False) + "\n")
     sys.stdout.flush()
 
 
@@ -69,8 +69,7 @@ def _write_manifest(out_dir: str, command: str, extra: dict):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     manifest.update(extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +91,16 @@ def save_checkpoint(path: str, params: ParamSet):
             for name, t in params.tensors.items()
         },
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    write_json(path, payload)
 
 
 def load_checkpoint(path: str) -> tuple[ParamSet, TrainConfig]:
     """Read a checkpoint written by ``save_checkpoint``.
 
     The parameter names and shapes ``init_params`` gives the stored config are
-    the schema: a missing field, a missing or unexpected parameter, or a shape
-    that differs raises ``CheckpointError`` naming it.
+    the schema: a missing field, a missing or unexpected parameter, a shape
+    that differs, or a parameter holding NaN or an infinity raises
+    ``CheckpointError`` naming it.
     """
     with open(path) as fh:
         try:
@@ -137,9 +136,11 @@ def load_checkpoint(path: str) -> tuple[ParamSet, TrainConfig]:
         try:
             rec = stored[name]
             values[name] = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"{path}: malformed parameter '{name}' "
                                   f"({type(exc).__name__}: {exc})") from None
+        if not np.isfinite(values[name]).all():
+            raise CheckpointError(f"{path}: parameter '{name}' holds non-finite values")
     try:
         params.load_values(values)
     except ValueError as exc:
@@ -237,8 +238,7 @@ def cmd_train(args) -> int:
     if args.config:
         run["config_file_hash"] = _sha256_file(args.config)
     run_path = os.path.join(args.out, "run.json")
-    with open(run_path, "w") as fh:
-        json.dump(run, fh, indent=1, sort_keys=True)
+    write_json(run_path, run, indent=1, sort_keys=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.json"), result.params)
     _write_manifest(args.out, "train", {
         "seed": cfg.seed,
@@ -261,8 +261,7 @@ def cmd_eval(args) -> int:
         return EXIT_COMPAT
     report = eval_report(params, ds, cfg)
     out_path = os.path.join(args.out, "metrics.json")
-    with open(out_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
+    write_json(out_path, report.to_dict(), indent=1, sort_keys=True)
     _write_manifest(args.out, "eval", {
         "seed": cfg.seed,
         "checkpoint_hash": _sha256_file(args.checkpoint),
@@ -305,8 +304,7 @@ def cmd_sweep(args) -> int:
     payload = {"best_config": best_cfg.to_dict(), "results": results,
                "grid": grid, "seeds": seeds}
     out_path = os.path.join(args.out, "sweep.json")
-    with open(out_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+    write_json(out_path, payload, indent=1, sort_keys=True)
     _emit({"event": "sweep-done", "best_config": best_cfg.to_dict(),
            "runs": len(results)})
     _say(f"sweep done: {len(results)} runs, results in {out_path}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, asdict, fields
 
 BACKBONES = ("gcn", "gat")
@@ -16,6 +17,15 @@ _ADMITS = {
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
 }
+
+
+def reject_non_finite(obj):
+    """Raise ``ValueError`` naming the first ``float`` field of dataclass ``obj`` not finite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if (f.type.startswith("float") and value is not None
+                and not abs(value) <= sys.float_info.max):  # NaN fails every comparison
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -59,6 +69,7 @@ class TrainConfig:
             if not (_ADMITS[kind](value) or (optional and value is None)):
                 raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} "
                                  f"{value!r}")
+        reject_non_finite(self)
         if self.backbone not in BACKBONES:
             raise ValueError(f"backbone must be one of {BACKBONES}")
         if self.method not in METHODS:
@@ -71,8 +82,10 @@ class TrainConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.num_layers < 1 or self.hidden < 1 or self.num_branches < 1:
             raise ValueError("num_layers, hidden, num_branches must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def use_self_loops(self) -> bool:

@@ -17,7 +17,9 @@ surrounding spaces. Blank lines are skipped and CRLF line ends are
 accepted. There are no comments: a line starting with ``#`` is an error.
 Underscores (``1_0``), non-ASCII digits and integers beyond int64 are
 rejected, although Python's ``int()``/``float()`` accept them, and so is a
-label line of spaces only or with a stray tab. A rejected file raises
+label line of spaces only or with a stray tab. An integer field with a
+non-ASCII character is rejected unparsed: numpy's integer parser passes each
+character to C ``isdigit``, which can crash past 8 bits. A rejected file raises
 ``ParseError`` naming the file and the physical (1-based, blank lines
 counted) line.
 """
@@ -166,16 +168,21 @@ def _read_table(path: str, dtype, line_error, valid=lambda table: True) -> np.nd
     are the line's fields, each read alone by the same ``np.loadtxt`` (None if rejected).
     """
     read = functools.partial(np.loadtxt, dtype=dtype, delimiter="\t", comments=None, ndmin=2)
+    ints = np.issubdtype(dtype, np.integer)  # parsed only if ASCII (module docstring)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # raised for input with no rows
         with contextlib.suppress(ValueError):
-            if valid(table := read(path)):
+            with open(path, "rb") as fh:
+                parsable = not ints or fh.read().isascii()
+            if parsable and valid(table := read(path)):
                 return table
         with open(path) as fh:
             for i, raw in enumerate(fh, start=1):
                 raw, values = raw.rstrip("\n"), []
                 for text in raw.split("\t") if raw else ():
                     try:
+                        if ints and not text.isascii():
+                            raise ValueError(text)
                         values.append(read([text])[0, 0])
                     except (ValueError, IndexError):  # IndexError: an empty field is no row
                         values.append(None)
@@ -314,8 +321,7 @@ def save_dataset(directory: str, ds: Dataset) -> None:
         "test_id": ds.split.test_id.tolist(),
         "ood_groups": ood_dirs,
     }
-    with open(os.path.join(directory, "splits.json"), "w") as fh:
-        json.dump(splits, fh, indent=1)
+    write_json(os.path.join(directory, "splits.json"), splits, indent=1)
     manifest = dict(ds.metadata)
     manifest.update(
         {
@@ -326,8 +332,7 @@ def save_dataset(directory: str, ds: Dataset) -> None:
         }
     )
     manifest["content_hash"] = _content_hash(directory, id_dirs + ood_dirs)
-    with open(os.path.join(directory, "dataset.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    write_json(os.path.join(directory, "dataset.json"), manifest, indent=1, sort_keys=True)
 
 
 def _content_hash(directory: str, graph_dirs: list[str]) -> str:
@@ -342,6 +347,14 @@ def _content_hash(directory: str, graph_dirs: list[str]) -> str:
         with open(os.path.join(directory, rel), "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()
+
+
+def write_json(path: str, obj, **kwargs) -> None:
+    """Write ``obj`` to ``path`` as strict JSON. NaN or an infinity raises
+    ``ValueError`` before the file is opened, so no partial file is left."""
+    text = json.dumps(obj, allow_nan=False, **kwargs)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def read_json_object(path: str) -> dict:

@@ -97,9 +97,10 @@ class MetricsReport:
         self.entries.append({"split": split, "value": float(value), "count": int(count)})
 
     @property
-    def ood_mean(self) -> float:
+    def ood_mean(self) -> float | None:
+        """Mean over the OOD entries; ``None`` (JSON null) when there is none."""
         vals = [e["value"] for e in self.entries if e["split"].startswith("ood")]
-        return float(np.mean(vals)) if vals else float("nan")
+        return float(np.mean(vals)) if vals else None
 
     def value(self, split: str) -> float:
         for e in self.entries:

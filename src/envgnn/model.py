@@ -190,15 +190,10 @@ class ForwardOutput:
 
 def moe_gcn_preact(z: Tensor, adj: SparseAdj, e: Tensor, params: ParamSet, layer: int) -> Tensor:
     """Gated pre-activation: sum_k e_k (A_hat z W_d^T + z W_self^T)."""
-    total = None
-    for j in range(1, params.cfg.num_branches + 1):
-        branch = ad.add(
-            ad.spmm(adj, ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_d"]))),
-            ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_self"])),
-        )
-        gated = ad.mul(ad.column(e, j - 1), branch)
-        total = gated if total is None else ad.add(total, gated)
-    return total
+    branches = [ad.add(ad.spmm(adj, ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_d"]))),
+                       ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_self"])))
+                for j in range(1, params.cfg.num_branches + 1)]
+    return ad.mix(e, branches)
 
 
 def moe_gcn_layer(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int,
@@ -215,33 +210,20 @@ def _branch_attention(z: Tensor, gt: GraphTensors, w_a: Tensor, b: Tensor,
     t = ad.matmul(z, ad.transpose(w_a))
     alpha = ad.matmul(t, ad.slice_rows(b, 0, h))        # score share of the center
     beta = ad.matmul(t, ad.slice_rows(b, h, 2 * h))     # score share of the neighbor
-    src, dst = gt.edges.src, gt.edges.dst
-    scores = ad.leaky_relu(
-        ad.add(ad.gather_rows(alpha, dst), ad.gather_rows(beta, src)),
-        slope,
-    )
-    # softmax over each destination's incident edges, max-shifted per segment
-    seg_max = gt.edges.segment_max(scores.value[:, 0])
-    shifted = ad.sub(scores, constant(seg_max[dst, None]))
-    ex = ad.exp(shifted)
-    denom = ad.segment_sum(ex, dst, gt.n)
-    att = ad.div(ex, ad.gather_rows(denom, dst))
-    return ad.reshape(att, (-1,))
+    scores = ad.add(ad.gather_rows(alpha, gt.edges.dst), ad.gather_rows(beta, gt.edges.src))
+    return ad.edge_softmax(ad.leaky_relu(scores, slope), gt.edges)
 
 
 def moe_gat_preact(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int) -> Tensor:
-    total = None
+    """Gated pre-activation: sum_k e_k (att_k-weighted z W_d^T + z W_self^T)."""
+    branches = []
     for j in range(1, params.cfg.num_branches + 1):
         att = _branch_attention(z, gt, params[f"l{layer}.k{j}.w_a"], params[f"l{layer}.k{j}.b"])
         ad.edge_touches.add(gt.stored_edges)
         msgs = ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_d"]))
-        branch = ad.add(
-            ad.edge_combine(att, msgs, gt.edges),
-            ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_self"])),
-        )
-        gated = ad.mul(ad.column(e, j - 1), branch)
-        total = gated if total is None else ad.add(total, gated)
-    return total
+        branches.append(ad.add(ad.edge_combine(att, msgs, gt.edges),
+                               ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_self"]))))
+    return ad.mix(e, branches)
 
 
 def moe_gat_layer(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int,

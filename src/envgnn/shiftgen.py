@@ -22,10 +22,12 @@ dataset manifest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .config import reject_non_finite
 from .graphdata import Dataset, Graph, build_norm_adj, split_random
 from .rng import STREAM_DATAGEN, Rng
 
@@ -69,6 +71,7 @@ class PlantedConfig:
     seed: int = 0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.n_per_domain <= 0 or self.num_classes <= 1:
             raise ValueError("need at least one node and two classes")
         if self.stable_dim < 1 or self.spurious_dim < 0:
@@ -79,6 +82,8 @@ class PlantedConfig:
             self.id_spurious_scales = tuple(float(s) for s in self.id_spurious_scales)
             if len(self.id_spurious_scales) != self.num_id_envs:
                 raise ValueError("id_spurious_scales must list one scale per ID environment")
+            if not all(map(math.isfinite, self.id_spurious_scales)):
+                raise ValueError(f"id_spurious_scales must be finite: {self.id_spurious_scales}")
         for p in (self.p_intra, self.p_inter):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("edge probabilities must lie in [0, 1]")

@@ -1,6 +1,8 @@
 """Command-line interface tests: exit codes, artifacts, round trips."""
 
+import ast
 import json
+import math
 import os
 import shutil
 
@@ -17,6 +19,7 @@ from envgnn.cli import (
     main,
     save_checkpoint,
 )
+import envgnn
 from envgnn.graphdata import load_dataset, save_graph
 from envgnn.model import import_branch_weights
 
@@ -86,6 +89,18 @@ def test_gen_data_citation_with_base(tmp_path):
     assert rc == EXIT_OK
     ds = load_dataset(out)
     assert ds.num_features == 6
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--stable-noise", "nan", "stable_noise"),
+    ("--p-intra", "inf", "p_intra"),
+    ("--spurious-strength", "-inf", "spurious_strength"),
+])
+def test_gen_data_non_finite_parameter_is_usage_error(tmp_path, capsys, flag, value, field):
+    rc = main(["gen-data", "--kind", "planted", "--out", str(tmp_path / "x"),
+               "--n-per-domain", "20", f"{flag}={value}"])
+    assert rc == EXIT_USAGE
+    assert f"{field} must be finite" in capsys.readouterr().err
 
 
 def test_gen_data_refuses_overwrite(tmp_path):
@@ -212,6 +227,12 @@ def test_train_config_file_not_an_object_is_usage_error(tmp_path, data_dir, caps
     ({"exact_kl": 1}, "exact_kl"),
     ({"backbone": ["gcn"]}, "backbone"),
     ({"seed": None}, "seed"),
+    ({"tau": math.nan}, "tau"),
+    ({"lr_env": math.inf}, "lr_env"),
+    ({"reg_weight": -math.inf}, "reg_weight"),
+    ({"weight_decay": 10**400}, "weight_decay"),
+    ({"epochs": 0}, "epochs"),
+    ({"seed": -1}, "seed"),
 ])
 def test_train_config_field_of_wrong_type_is_usage_error(tmp_path, data_dir, capsys,
                                                          config, field):
@@ -224,6 +245,50 @@ def test_train_config_field_of_wrong_type_is_usage_error(tmp_path, data_dir, cap
     err = capsys.readouterr().err
     assert f"{field} must be" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--tau", "nan", "tau"), ("--lr", "inf", "lr"), ("--epochs", "0", "epochs"),
+])
+def test_train_non_finite_or_zero_epoch_flag_is_usage_error(tmp_path, data_dir, capsys,
+                                                            flag, value, field):
+    rc = main(["train", "--data", data_dir, "--out", str(tmp_path / "run"), flag, value])
+    assert rc == EXIT_USAGE
+    assert f"{field} must be" in capsys.readouterr().err
+
+
+def test_train_without_ood_graphs_writes_null_ood_mean(tmp_path, data_dir):
+    data = str(tmp_path / "data")
+    shutil.copytree(data_dir, data)
+    manifest = json.load(open(os.path.join(data, "dataset.json")))
+    manifest["ood_graphs"] = []
+    with open(os.path.join(data, "dataset.json"), "w") as fh:
+        json.dump(manifest, fh)
+    out = str(tmp_path / "run")
+    assert main(["train", "--data", data, "--out", out, "--epochs", "1", "--hidden", "4"]) == EXIT_OK
+    with open(os.path.join(out, "run.json")) as fh:
+        run = json.loads(fh.read(), parse_constant=lambda token: pytest.fail(token))
+    assert run["final"]["ood_mean"] is None
+
+
+def test_every_json_write_in_the_package_is_strict():
+    # json.dump/dumps write NaN and Infinity, which are not JSON, unless told not to
+    src = os.path.dirname(envgnn.__file__)
+    calls, loose = 0, []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                    and node.func.attr in ("dump", "dumps")):
+                calls += 1
+                if not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                           and k.value.value is False for k in node.keywords):
+                    loose.append(f"{name}:{node.lineno}")
+    assert calls and not loose
 
 
 def test_train_config_admits_int_for_float_and_null_for_optional():
@@ -436,6 +501,16 @@ def _edit_checkpoint(src, dst, edit):
                  id="config-field-str"),
     pytest.param(lambda p: p["config"].__setitem__("hidden", 2.5), "hidden must be int",
                  id="config-field-float"),
+    pytest.param(lambda p: p["config"].__setitem__("tau", math.inf), "tau must be finite",
+                 id="config-field-non-finite"),
+    pytest.param(lambda p: p["config"].__setitem__("epochs", 0), "epochs must be >= 1",
+                 id="config-zero-epochs"),
+    pytest.param(lambda p: p["params"]["phi_out"]["values"].__setitem__(1, math.nan),
+                 "parameter 'phi_out' holds non-finite", id="param-nan"),
+    pytest.param(lambda p: p["params"]["phi_in"]["values"].__setitem__(0, -math.inf),
+                 "parameter 'phi_in' holds non-finite", id="param-inf"),
+    pytest.param(lambda p: p["params"]["phi_in"]["values"].__setitem__(0, 10**400),
+                 "malformed parameter 'phi_in'", id="param-int-beyond-float"),
 ])
 def test_malformed_checkpoint_exits_compat(tmp_path, data_dir, run_dir, capsys, edit, named):
     ckpt = str(tmp_path / "bad.json")

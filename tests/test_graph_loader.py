@@ -175,6 +175,11 @@ GOOD = {
     pytest.param("labels.tsv", "0\n1\t0\n1\n", 2,
                  "non-integer label: '1\\t0'", id="two-column-label"),
     pytest.param("labels.tsv", "0\nb\n1\n", 2, "non-integer label: 'b'", id="non-integer-label"),
+    # numpy's integer parser may crash on these: C isdigit indexes a table with them
+    pytest.param("labels.tsv", "0\n\U000cec9e\n1\n", 2,
+                 f"non-integer label: {chr(0xCEC9E)!r}", id="label-char-beyond-8-bits"),
+    pytest.param("edges.tsv", "0\t1\U000cec9e\n", 1,
+                 f"non-integer node id: {'1' + chr(0xCEC9E)!r}", id="id-char-beyond-8-bits"),
 ])
 def test_parse_error_names_file_and_physical_line(tmp_path, name, text, line, message):
     d = tmp_path / "g"

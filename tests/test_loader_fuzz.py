@@ -7,8 +7,10 @@ accept are filtered out), so exit 0 is not an allowed outcome either.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from envgnn.cli import EXIT_COMPAT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from envgnn.config import TrainConfig
 
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -249,6 +252,9 @@ def test_malformed_tsv_is_a_clean_failure(served, graph, edit, where):
 
 FIELDS = ["config", "in_dim", "num_classes", "params"]
 PARAMS = ["phi_in", "l1.k1.w_d", "l1.k2.w_a", "l1.k1.b", "l1.w_env", "phi_out"]
+FLOAT_FIELDS = sorted(f.name for f in dataclasses.fields(TrainConfig) if f.type.startswith("float"))
+# written by json.dumps as the tokens NaN, Infinity and -Infinity
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 checkpoint_edits = st.one_of(
     st.tuples(st.just("replace-file"), not_an_object),
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
@@ -262,6 +268,9 @@ checkpoint_edits = st.one_of(
     st.tuples(st.just("record"), st.tuples(st.sampled_from(PARAMS), json_values)),
     st.tuples(st.sampled_from(["shape", "values"]), st.tuples(st.sampled_from(PARAMS),
                                                               json_values)),
+    st.tuples(st.just("non-finite-value"),
+              st.tuples(st.sampled_from(PARAMS), st.integers(0, 10**6), non_finite)),
+    st.tuples(st.just("non-finite-config"), st.tuples(st.sampled_from(FLOAT_FIELDS), non_finite)),
 )
 
 
@@ -269,6 +278,8 @@ checkpoint_edits = st.one_of(
 @given(edit=checkpoint_edits)
 @example(edit=("in_dim", 0))
 @example(edit=("num_classes", "2"))
+@example(edit=("non-finite-value", ("l1.k1.w_d", 3, math.nan)))
+@example(edit=("non-finite-config", ("tau", math.inf)))
 def test_malformed_checkpoint_is_a_clean_failure(served, edit):
     data, checkpoint = served
     kind, arg = edit
@@ -308,6 +319,12 @@ def test_malformed_checkpoint_is_a_clean_failure(served, edit):
         if kind == "values" and isinstance(value, list) and len(value) == len(rec["values"]):
             return  # the right size: may be valid values
         rec[kind] = value
+    elif kind == "non-finite-value":
+        name, where, value = arg
+        values = payload["params"][name]["values"]
+        values[where % len(values)] = value
+    elif kind == "non-finite-config":
+        payload["config"][arg[0]] = arg[1]
     else:
         payload[kind] = arg
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,7 @@
 """Metric tests: hand-counted fixtures, brute-force oracles, invariances."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,13 @@ def test_metrics_report():
     assert len(d["entries"]) == 3
     with pytest.raises(KeyError):
         rep.value("nope")
+
+
+def test_metrics_report_without_ood_entries_has_null_mean():
+    rep = MetricsReport(metric="accuracy")
+    rep.add("test_id", 0.9, 100)
+    assert rep.ood_mean is None
+    assert json.loads(json.dumps(rep.to_dict(), allow_nan=False))["ood_mean"] is None
 
 
 def test_metric_values_in_unit_interval():

@@ -185,3 +185,14 @@ def test_planted_config_validation():
         PlantedConfig(label_noise=1.0)
     with pytest.raises(ValueError):
         PlantedConfig(id_spurious_scales=(1.0, 0.5))
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"stable_noise": float("nan")}, "stable_noise"),
+    ({"p_inter": float("inf")}, "p_inter"),
+    ({"label_noise": float("nan")}, "label_noise"),
+    ({"id_spurious_scales": (1.0, float("-inf"), 0.0)}, "id_spurious_scales"),
+])
+def test_planted_config_rejects_non_finite(kwargs, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PlantedConfig(**kwargs)
