@@ -20,10 +20,9 @@ from .metrics import MetricsReport, accuracy, macro_f1, roc_auc
 from .model import (
     ForwardOutput,
     ParamSet,
-    baseline_forward,
-    canet_forward,
     env_probs,
     export_branch_weights,
+    forward,
     gumbel_sample,
     init_params,
     prepare_graph,
@@ -64,10 +63,9 @@ __all__ = [
     "roc_auc",
     "ForwardOutput",
     "ParamSet",
-    "baseline_forward",
-    "canet_forward",
     "env_probs",
     "export_branch_weights",
+    "forward",
     "gumbel_sample",
     "init_params",
     "prepare_graph",

@@ -12,6 +12,8 @@ wall-clock).
 from __future__ import annotations
 
 import argparse
+import ctypes
+import dataclasses
 import hashlib
 import json
 import os
@@ -39,6 +41,23 @@ EXIT_NUMERIC = 4
 EXIT_COMPAT = 5
 
 
+def _pin_malloc():
+    """Fix glibc's malloc thresholds for the rest of the process.
+
+    By default glibc raises its mmap threshold to the largest block freed so
+    far and trims the heap top after frees, so whether an epoch's temporaries
+    are reused or mapped afresh and faulted in (~2,000 page faults per epoch)
+    depends on what the process allocated before. Pinned, blocks up to
+    32 MiB (glibc's ceiling) come from the heap and freed pages stay mapped.
+    A no-op where the C library has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def _emit(record: dict):
     sys.stdout.write(json.dumps(record, allow_nan=False) + "\n")
     sys.stdout.flush()
@@ -48,10 +67,16 @@ def _say(msg: str):
     sys.stderr.write(msg + "\n")
 
 
-def _prepare_out(path: str, force: bool):
+def _check_out(path: str, force: bool):
+    """Refuse a non-empty ``--out`` without ``--force`` before any work."""
+    if os.path.exists(path) and os.listdir(path) and not force:
+        raise FileExistsError(f"output directory exists (use --force): {path}")
+
+
+def _prepare_out(path: str):
+    """Empty and create ``--out``; called only once the results are in hand,
+    so a command that fails leaves an existing directory as it was."""
     if os.path.exists(path) and os.listdir(path):
-        if not force:
-            raise FileExistsError(f"output directory exists (use --force): {path}")
         shutil.rmtree(path)
     os.makedirs(path, exist_ok=True)
 
@@ -154,7 +179,7 @@ def load_checkpoint(path: str) -> tuple[ParamSet, TrainConfig]:
 
 
 def cmd_gen_data(args) -> int:
-    _prepare_out(args.out, args.force)
+    _check_out(args.out, args.force)
     if args.kind == "citation-spurious":
         if not args.base:
             raise UsageError("--base is required for kind=citation-spurious")
@@ -178,6 +203,7 @@ def cmd_gen_data(args) -> int:
             seed=args.seed,
         )
         ds = gen_planted_dataset(cfg)
+    _prepare_out(args.out)
     save_dataset(args.out, ds)
     mhash = dataset_manifest_hash(args.out)
     _write_manifest(args.out, "gen-data", {"seed": args.seed, "dataset_manifest_hash": mhash})
@@ -196,22 +222,11 @@ def _load_json_object(path: str, flag: str) -> dict:
 
 def _load_train_config(args) -> TrainConfig:
     base = _load_json_object(args.config, "--config") if args.config else {}
-    # only flags given on the command line override the file; TrainConfig
+    # only flags given on the command line override the file (each flag's
+    # dest is its TrainConfig field, absent flags are None); TrainConfig
     # supplies the defaults
-    overrides = {}
-    for flag, key in [
-        ("seed", "seed"), ("method", "method"), ("backbone", "backbone"),
-        ("epochs", "epochs"), ("lr", "lr"), ("weight_decay", "weight_decay"),
-        ("dropout", "dropout"), ("hidden", "hidden"), ("layers", "num_layers"),
-        ("branches", "num_branches"), ("tau", "tau"), ("reg_weight", "reg_weight"),
-    ]:
-        val = getattr(args, flag)
-        if val is not None:
-            overrides[key] = val
-    for flag in ("no_reg_loss", "shared_env", "mean_pool_env",
-                 "log_prob_gumbel", "deterministic_eval", "exact_kl"):
-        if getattr(args, flag):
-            overrides[flag] = True
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+                 if getattr(args, f.name, None) is not None}
     merged = {**base, **overrides}
     cfg = TrainConfig.from_dict(merged)
     if cfg.method == "erm" and any(
@@ -222,21 +237,17 @@ def _load_train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    _prepare_out(args.out, args.force)
+    _check_out(args.out, args.force)
     cfg = _load_train_config(args)
     ds = load_dataset(args.data)
-    try:
-        result = train(ds, cfg)
-    except TrainAbort as exc:
-        _emit({"event": "abort", "epoch": exc.epoch, "error": str(exc)})
-        _say(f"numerical abort: {exc}")
-        return EXIT_NUMERIC
+    result = train(ds, cfg)
 
     run = result.to_dict()
     run["prng"] = ALGORITHM
     run["dataset_manifest_hash"] = dataset_manifest_hash(args.data)
     if args.config:
         run["config_file_hash"] = _sha256_file(args.config)
+    _prepare_out(args.out)
     run_path = os.path.join(args.out, "run.json")
     write_json(run_path, run, indent=1, sort_keys=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.json"), result.params)
@@ -252,7 +263,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _prepare_out(args.out, args.force)
+    _check_out(args.out, args.force)
     params, cfg = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
     if params.in_dim != ds.num_features or params.num_classes != ds.num_classes:
@@ -260,13 +271,13 @@ def cmd_eval(args) -> int:
              f"C={params.num_classes}) vs data (D={ds.num_features}, C={ds.num_classes})")
         return EXIT_COMPAT
     report = eval_report(params, ds, cfg)
+    # hashed before --out is emptied, which may hold the checkpoint
+    provenance = {"seed": cfg.seed, "checkpoint_hash": _sha256_file(args.checkpoint),
+                  "dataset_manifest_hash": dataset_manifest_hash(args.data)}
+    _prepare_out(args.out)
     out_path = os.path.join(args.out, "metrics.json")
     write_json(out_path, report.to_dict(), indent=1, sort_keys=True)
-    _write_manifest(args.out, "eval", {
-        "seed": cfg.seed,
-        "checkpoint_hash": _sha256_file(args.checkpoint),
-        "dataset_manifest_hash": dataset_manifest_hash(args.data),
-    })
+    _write_manifest(args.out, "eval", provenance)
     _emit({"event": "eval", "report": report.to_dict()})
     _say(f"metrics written to {out_path}")
     return EXIT_OK
@@ -290,7 +301,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _prepare_out(args.out, args.force)
+    _check_out(args.out, args.force)
     grid = _load_json_object(args.grid, "--grid")
     not_lists = sorted(k for k, v in grid.items() if not isinstance(v, list))
     if not_lists:
@@ -303,6 +314,7 @@ def cmd_sweep(args) -> int:
     best_cfg, results = sweep(ds, grid, seeds, base)
     payload = {"best_config": best_cfg.to_dict(), "results": results,
                "grid": grid, "seeds": seeds}
+    _prepare_out(args.out)
     out_path = os.path.join(args.out, "sweep.json")
     write_json(out_path, payload, indent=1, sort_keys=True)
     _emit({"event": "sweep-done", "best_config": best_cfg.to_dict(),
@@ -372,13 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--weight-decay", dest="weight_decay", type=float)
     t.add_argument("--dropout", type=float)
     t.add_argument("--hidden", type=int)
-    t.add_argument("--layers", type=int)
-    t.add_argument("--branches", type=int)
+    t.add_argument("--layers", dest="num_layers", type=int)
+    t.add_argument("--branches", dest="num_branches", type=int)
     t.add_argument("--tau", type=float)
     t.add_argument("--reg-weight", dest="reg_weight", type=float)
     for flag in ("no-reg-loss", "shared-env", "mean-pool-env",
                  "log-prob-gumbel", "deterministic-eval", "exact-kl"):
-        t.add_argument(f"--{flag}", dest=flag.replace("-", "_"), action="store_true")
+        t.add_argument(f"--{flag}", dest=flag.replace("-", "_"), action="store_true",
+                       default=None)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -413,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_malloc()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -421,7 +435,12 @@ def main(argv=None) -> int:
         _say(f"usage error: {exc}")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, FileExistsError, PermissionError, IsADirectoryError) as exc:
+    except TrainAbort as exc:
+        _emit({"event": "abort", "epoch": exc.epoch, "error": str(exc)})
+        _say(f"numerical abort: {exc}")
+        return EXIT_NUMERIC
+    except (FileNotFoundError, FileExistsError, PermissionError, IsADirectoryError,
+            NotADirectoryError) as exc:
         _say(f"I/O error: {exc}")
         return EXIT_IO
     except CheckpointError as exc:

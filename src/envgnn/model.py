@@ -3,8 +3,11 @@
 The model keeps K parallel propagation branches per layer. A small estimator
 maps current node embeddings to branch probabilities; a temperature-controlled
 softmax over Gumbel-perturbed probabilities yields soft branch assignments
-that gate the branch outputs per node. Plain GCN/GAT baselines share the same
-input/output projection scaffold.
+that gate the branch outputs per node. Each branch is the backbone
+propagation (GCN or GAT, chosen only in ``_propagate``) plus a self term.
+``forward`` runs both methods in one loop: the plain baseline (erm) uses the
+same input/output projections and residual layers with one propagation per
+layer in place of the gated mixture.
 
 Naming note: the estimator matrix is called ``w_env`` and the per-branch
 self-transform ``w_self`` to keep the two roles apart.
@@ -184,23 +187,8 @@ class ForwardOutput:
 
 
 # ---------------------------------------------------------------------------
-# propagation layers
+# propagation and the forward pass
 # ---------------------------------------------------------------------------
-
-
-def moe_gcn_preact(z: Tensor, adj: SparseAdj, e: Tensor, params: ParamSet, layer: int) -> Tensor:
-    """Gated pre-activation: sum_k e_k (A_hat z W_d^T + z W_self^T)."""
-    branches = [ad.add(ad.spmm(adj, ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_d"]))),
-                       ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_self"])))
-                for j in range(1, params.cfg.num_branches + 1)]
-    return ad.mix(e, branches)
-
-
-def moe_gcn_layer(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int,
-                  dropout: float, rng: Rng, training: bool, residual: bool = True) -> Tensor:
-    h = ad.relu(moe_gcn_preact(z, gt.adj, e, params, layer))
-    h = ad.dropout(h, dropout, rng, training)
-    return ad.add(h, z) if residual else h
 
 
 def _branch_attention(z: Tensor, gt: GraphTensors, w_a: Tensor, b: Tensor,
@@ -214,84 +202,73 @@ def _branch_attention(z: Tensor, gt: GraphTensors, w_a: Tensor, b: Tensor,
     return ad.edge_softmax(ad.leaky_relu(scores, slope), gt.edges)
 
 
-def moe_gat_preact(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int) -> Tensor:
-    """Gated pre-activation: sum_k e_k (att_k-weighted z W_d^T + z W_self^T)."""
+def _propagate(z: Tensor, gt: GraphTensors, w_d: Tensor, w_a: Tensor | None,
+               b: Tensor | None) -> Tensor:
+    """Backbone propagation of the messages z W_d^T, chosen by the operand
+    ``gt`` carries: GCN's normalized sum over ``adj``, or GAT's sum over
+    ``edges`` weighted by attention scored from z W_a^T and b."""
+    if gt.adj is not None:
+        return ad.spmm(gt.adj, ad.matmul(z, ad.transpose(w_d)))
+    att = _branch_attention(z, gt, w_a, b)
+    ad.edge_touches.add(gt.stored_edges)
+    return ad.edge_combine(att, ad.matmul(z, ad.transpose(w_d)), gt.edges)
+
+
+def moe_preact(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int) -> Tensor:
+    """Gated pre-activation: sum_k e_k (propagate_k(z) + z W_self,k^T)."""
     branches = []
     for j in range(1, params.cfg.num_branches + 1):
-        att = _branch_attention(z, gt, params[f"l{layer}.k{j}.w_a"], params[f"l{layer}.k{j}.b"])
-        ad.edge_touches.add(gt.stored_edges)
-        msgs = ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_d"]))
-        branches.append(ad.add(ad.edge_combine(att, msgs, gt.edges),
-                               ad.matmul(z, ad.transpose(params[f"l{layer}.k{j}.w_self"]))))
+        p = f"l{layer}.k{j}."
+        prop = _propagate(z, gt, params[p + "w_d"], params.tensors.get(p + "w_a"),
+                          params.tensors.get(p + "b"))
+        branches.append(ad.add(prop, ad.matmul(z, ad.transpose(params[p + "w_self"]))))
     return ad.mix(e, branches)
 
 
-def moe_gat_layer(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int,
-                  dropout: float, rng: Rng, training: bool, residual: bool = True) -> Tensor:
-    h = ad.relu(moe_gat_preact(z, gt, e, params, layer))
-    h = ad.dropout(h, dropout, rng, training)
-    return ad.add(h, z) if residual else h
-
-
-# ---------------------------------------------------------------------------
-# full forward passes
-# ---------------------------------------------------------------------------
-
-
-def canet_forward(gt: GraphTensors, params: ParamSet, cfg: TrainConfig,
-                  gumbel_rng: Rng, dropout_rng: Rng, training: bool) -> ForwardOutput:
-    if params.in_dim != gt.features.value.shape[1]:
-        raise ValueError("feature dimension does not match phi_in")
-    k = params.cfg.num_branches
+def _posterior(z: Tensor, params: ParamSet, cfg: TrainConfig, layer: int,
+               gumbel_rng: Rng, training: bool) -> LayerPosterior:
+    """The layer's branch distribution and gate: uniform under mean pooling,
+    noiseless in eval under ``deterministic_eval``, Gumbel-sampled otherwise."""
+    shape = (z.value.shape[0], params.cfg.num_branches)
+    if cfg.mean_pool_env:
+        uniform = constant(np.full(shape, 1.0 / shape[1]))
+        return LayerPosterior(uniform, constant(np.full(shape, -np.log(shape[1]))),
+                              uniform, np.zeros(shape))
     mode = "log_prob" if cfg.log_prob_gumbel else "literal"
-    z = ad.matmul(gt.features, ad.transpose(params["phi_in"]))
-    posterior = []
-    for l in range(1, params.cfg.num_layers + 1):
-        if cfg.mean_pool_env:
-            uniform = constant(np.full((gt.n, k), 1.0 / k))
-            log_pi = constant(np.full((gt.n, k), -np.log(k)))
-            pi, e, noise = uniform, uniform, np.zeros((gt.n, k))
-        else:
-            pi, log_pi = env_probs(z, params.env_weight(l))
-            if cfg.deterministic_eval and not training:
-                e, noise = gumbel_sample(pi, cfg.tau, None, mode,
-                                         noise=np.zeros((gt.n, k)), log_pi=log_pi)
-            else:
-                e, noise = gumbel_sample(pi, cfg.tau, gumbel_rng, mode, log_pi=log_pi)
-        if params.cfg.backbone == "gcn":
-            z = moe_gcn_layer(z, gt, e, params, l, cfg.dropout, dropout_rng, training)
-        else:
-            z = moe_gat_layer(z, gt, e, params, l, cfg.dropout, dropout_rng, training)
-        posterior.append(LayerPosterior(pi, log_pi, e, noise))
-    logits = ad.matmul(z, ad.transpose(params["phi_out"]))
-    return ForwardOutput(logits, posterior)
-
-
-def baseline_forward(gt: GraphTensors, params: ParamSet, cfg: TrainConfig,
-                     dropout_rng: Rng, training: bool) -> ForwardOutput:
-    """Plain L-layer GCN (self-loop normalized) or single-head GAT."""
-    if params.in_dim != gt.features.value.shape[1]:
-        raise ValueError("feature dimension does not match phi_in")
-    z = ad.matmul(gt.features, ad.transpose(params["phi_in"]))
-    for l in range(1, params.cfg.num_layers + 1):
-        w = params[f"l{l}.w"]
-        if params.cfg.backbone == "gcn":
-            h = ad.relu(ad.spmm(gt.adj, ad.matmul(z, ad.transpose(w))))
-        else:
-            att = _branch_attention(z, gt, w, params[f"l{l}.b"])
-            ad.edge_touches.add(gt.stored_edges)
-            h = ad.relu(ad.edge_combine(att, ad.matmul(z, ad.transpose(w)), gt.edges))
-        h = ad.dropout(h, cfg.dropout, dropout_rng, training)
-        z = ad.add(h, z)
-    logits = ad.matmul(z, ad.transpose(params["phi_out"]))
-    return ForwardOutput(logits, None)
+    pi, log_pi = env_probs(z, params.env_weight(layer))
+    if cfg.deterministic_eval and not training:
+        e, noise = gumbel_sample(pi, cfg.tau, None, mode, noise=np.zeros(shape), log_pi=log_pi)
+    else:
+        e, noise = gumbel_sample(pi, cfg.tau, gumbel_rng, mode, log_pi=log_pi)
+    return LayerPosterior(pi, log_pi, e, noise)
 
 
 def forward(gt: GraphTensors, params: ParamSet, cfg: TrainConfig,
             gumbel_rng: Rng, dropout_rng: Rng, training: bool) -> ForwardOutput:
-    if cfg.method == "erm":
-        return baseline_forward(gt, params, cfg, dropout_rng, training)
-    return canet_forward(gt, params, cfg, gumbel_rng, dropout_rng, training)
+    """Logits of the mixture model (canet) or of its plain backbone (erm).
+
+    Every layer maps z to z + dropout(relu(pre)). For erm, pre is the
+    backbone propagation with the layer's one weight; for canet, it is the
+    gated mixture of K branches under the layer's posterior, which is
+    returned alongside the logits.
+    """
+    if params.in_dim != gt.features.value.shape[1]:
+        raise ValueError("feature dimension does not match phi_in")
+    prepared = "gcn" if gt.adj is not None else "gat"
+    if prepared != params.cfg.backbone:
+        raise ValueError(f"graph tensors were prepared for {prepared}, "
+                         f"the model's backbone is {params.cfg.backbone}")
+    posterior = None if cfg.method == "erm" else []
+    z = ad.matmul(gt.features, ad.transpose(params["phi_in"]))
+    for l in range(1, params.cfg.num_layers + 1):
+        if posterior is None:
+            w = params[f"l{l}.w"]
+            pre = _propagate(z, gt, w, w, params.tensors.get(f"l{l}.b"))
+        else:
+            posterior.append(_posterior(z, params, cfg, l, gumbel_rng, training))
+            pre = moe_preact(z, gt, posterior[-1].e, params, l)
+        z = ad.add(ad.dropout(ad.relu(pre), cfg.dropout, dropout_rng, training), z)
+    return ForwardOutput(ad.matmul(z, ad.transpose(params["phi_out"])), posterior)
 
 
 # ---------------------------------------------------------------------------

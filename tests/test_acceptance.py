@@ -23,8 +23,7 @@ from envgnn.model import (
     forward,
     gumbel_sample,
     init_params,
-    moe_gat_layer,
-    moe_gcn_layer,
+    moe_preact,
     prepare_graph,
 )
 from envgnn.optim import AdamState, adam_step
@@ -261,17 +260,16 @@ def test_accept_05_layers_match_naive_loops():
         zv = rng.normal((n, h))
         ev = ad.row_softmax(constant(rng.normal((n, k)))).value
         if backbone == "gcn":
-            out = moe_gcn_layer(constant(zv), gt, constant(ev), params, 1,
-                                0.0, None, False)
             expect = np.maximum(naive_moe_gcn(zv, gt.adj.densify(), ev,
                                               params, 1, k), 0.0) + zv
         else:
             for j in range(1, k + 1):
                 params[f"l1.k{j}.b"].value = 0.4 * rng.normal((2 * h, 1))
-            out = moe_gat_layer(constant(zv), gt, constant(ev), params, 1,
-                                0.0, None, False)
             expect = np.maximum(naive_moe_gat(zv, g.edges, n, ev,
                                               params, 1, k), 0.0) + zv
+        # one residual layer of the forward pass, dropout off
+        out = ad.add(ad.relu(moe_preact(constant(zv), gt, constant(ev), params, 1)),
+                     constant(zv))
         worst = max(worst, float(np.abs(out.value - expect).max()))
     ok = worst <= 1e-10
     report(5, ok, f"moe layers vs naive loops: max abs gap {worst:.2e} "
@@ -353,17 +351,21 @@ def _timing_instance(num_edges, num_branches, seed=80):
     return g, gt, params, cfg
 
 
-def _epoch_time(gt, params, cfg, labels, repeats=5):
-    times = []
+def _median_epoch_times(instances, labels, repeats=5):
+    """Median seconds of one training step per instance. The instances take
+    turns, one step each per repeat, so machine load that drifts during the
+    measurement reaches all of them alike."""
+    times = [[] for _ in instances]
     for _ in range(repeats):
-        root = Rng(cfg.seed)
-        t0 = time.perf_counter()
-        out = forward(gt, params, cfg, root.substream(STREAM_GUMBEL),
-                      root.substream(STREAM_DROPOUT), training=True)
-        loss = ad.cross_entropy(out.logits, labels, np.arange(gt.n))
-        ad.backward(loss, params.tensors)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+        for ts, (gt, params, cfg) in zip(times, instances):
+            root = Rng(cfg.seed)
+            t0 = time.perf_counter()
+            out = forward(gt, params, cfg, root.substream(STREAM_GUMBEL),
+                          root.substream(STREAM_DROPOUT), training=True)
+            loss = ad.cross_entropy(out.logits, labels, np.arange(gt.n))
+            ad.backward(loss, params.tensors)
+            ts.append(time.perf_counter() - t0)
+    return [float(np.median(ts)) for ts in times]
 
 
 def test_accept_08_cost_scaling_and_edge_accounting():
@@ -380,9 +382,8 @@ def test_accept_08_cost_scaling_and_edge_accounting():
     expected = c1.num_layers * k_base * gt1.stored_edges
     count_ok = touched == expected
 
-    t1 = _epoch_time(gt1, p1, c1, g1.labels)
-    t2 = _epoch_time(gt2, p2, c2, g1.labels)
-    t3 = _epoch_time(gt3, p3, c3, g1.labels)
+    t1, t2, t3 = _median_epoch_times([(gt1, p1, c1), (gt2, p2, c2), (gt3, p3, c3)],
+                                     g1.labels)
     f_branch = t2 / t1
     f_edges = t3 / t1
     ok = count_ok and 1.5 <= f_branch <= 2.8 and 1.5 <= f_edges <= 2.8

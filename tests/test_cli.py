@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, artifacts, round trips."""
 
 import ast
+import hashlib
 import json
 import math
 import os
@@ -205,6 +206,18 @@ def test_train_config_file_not_overridden_by_flag_defaults(tmp_path, data_dir):
     assert rc == EXIT_OK
     run = json.load(open(os.path.join(out, "run.json")))
     assert (run["config"]["method"], run["config"]["backbone"], run["seed"]) == ("erm", "gat", 7)
+
+
+def test_train_falsy_flags_override_config_file(tmp_path, data_dir):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"seed": 7, "dropout": 0.3, "epochs": 2, "hidden": 8}, fh)
+    out = str(tmp_path / "run")
+    rc = main(["train", "--data", data_dir, "--config", cfg_path, "--out", out,
+               "--seed", "0", "--dropout", "0"])
+    assert rc == EXIT_OK
+    run = json.load(open(os.path.join(out, "run.json")))
+    assert (run["seed"], run["config"]["seed"], run["config"]["dropout"]) == (0, 0, 0.0)
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "3", "{oops"])
@@ -413,6 +426,107 @@ def test_eval_manifest_without_classes_is_usage_error(tmp_path, data_dir, run_di
 
 
 # ---------------------------------------------------------------------------
+# a failed command leaves --out as it was
+# ---------------------------------------------------------------------------
+
+
+def dir_bytes(path):
+    out = {}
+    for root, _, files in os.walk(path):
+        for name in files:
+            full = os.path.join(root, name)
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, path)] = fh.read()
+    return out
+
+
+def write_file(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+@pytest.fixture
+def kept_run(tmp_path, run_dir):
+    keep = str(tmp_path / "keep")
+    shutil.copytree(run_dir, keep)
+    return keep, dir_bytes(keep)
+
+
+@pytest.mark.parametrize("case", [
+    "train-bad-config", "train-missing-data", "train-numeric", "eval-missing-data",
+    "eval-incompatible", "eval-bad-checkpoint", "sweep-bad-grid", "sweep-numeric",
+    "gen-data-bad-value",
+])
+def test_failed_command_with_force_leaves_out_unchanged(tmp_path, data_dir, kept_run, case):
+    keep, before = kept_run
+    ckpt = os.path.join(keep, "checkpoint.json")
+    absent = str(tmp_path / "absent")
+    small = ["--epochs", "2", "--hidden", "4"]
+    if case == "eval-incompatible":
+        other = str(tmp_path / "otherdims")
+        assert main(["gen-data", "--kind", "planted", "--out", other, "--seed", "2",
+                     "--n-per-domain", "20", "--stable-dim", "6"]) == EXIT_OK
+    argv, code = {
+        "train-bad-config": (["train", "--data", data_dir, "--config",
+                              write_file(str(tmp_path / "nan.json"), '{"tau": NaN}')], EXIT_USAGE),
+        "train-missing-data": (["train", "--data", absent] + small, EXIT_IO),
+        "train-numeric": (["train", "--data", data_dir, "--lr", "1e308"] + small, EXIT_NUMERIC),
+        "eval-missing-data": (["eval", "--data", absent, "--checkpoint", ckpt], EXIT_IO),
+        "eval-incompatible": (["eval", "--data", str(tmp_path / "otherdims"),
+                               "--checkpoint", ckpt], EXIT_COMPAT),
+        "eval-bad-checkpoint": (["eval", "--data", data_dir, "--checkpoint",
+                                 write_file(str(tmp_path / "list.json"), "[]")], EXIT_COMPAT),
+        "sweep-bad-grid": (["sweep", "--data", data_dir, "--grid",
+                            write_file(str(tmp_path / "scalar.json"), '{"lr": 0.1}')],
+                           EXIT_USAGE),
+        "sweep-numeric": (["sweep", "--data", data_dir, "--grid",
+                           write_file(str(tmp_path / "huge.json"), '{"lr": [1e308]}'),
+                           "--config", write_file(str(tmp_path / "small.json"),
+                                                  '{"epochs": 2, "hidden": 4}')], EXIT_NUMERIC),
+        "gen-data-bad-value": (["gen-data", "--kind", "planted", "--n-per-domain", "20",
+                                "--stable-noise", "nan"], EXIT_USAGE),
+    }[case]
+    assert main(argv + ["--out", keep, "--force"]) == code
+    assert dir_bytes(keep) == before
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep", "gen-data"])
+def test_existing_out_without_force_is_refused_before_any_work(tmp_path, kept_run, command,
+                                                               capsys):
+    # every other input is missing or invalid: the --out refusal comes first
+    keep, before = kept_run
+    absent = str(tmp_path / "absent")
+    argv = {
+        "train": ["train", "--data", absent, "--tau", "nan"],
+        "eval": ["eval", "--data", absent, "--checkpoint", absent],
+        "sweep": ["sweep", "--data", absent, "--grid", absent],
+        "gen-data": ["gen-data", "--kind", "planted", "--stable-noise", "nan"],
+    }[command]
+    assert main(argv + ["--out", keep]) == EXIT_IO
+    assert "output directory exists" in capsys.readouterr().err
+    assert dir_bytes(keep) == before
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_out_that_is_a_file_is_io_error(tmp_path, data_dir, force):
+    path = write_file(str(tmp_path / "file"), "kept")
+    rc = main(["train", "--data", data_dir, "--out", path, "--epochs", "1"] + force)
+    assert rc == EXIT_IO
+    assert open(path).read() == "kept"
+
+
+def test_eval_force_into_the_checkpoint_directory(tmp_path, data_dir, kept_run):
+    keep, before = kept_run
+    ckpt = os.path.join(keep, "checkpoint.json")
+    rc = main(["eval", "--data", data_dir, "--checkpoint", ckpt, "--out", keep, "--force"])
+    assert rc == EXIT_OK
+    assert sorted(os.listdir(keep)) == ["manifest.json", "metrics.json"]
+    manifest = json.load(open(os.path.join(keep, "manifest.json")))
+    assert manifest["checkpoint_hash"] == hashlib.sha256(before["checkpoint.json"]).hexdigest()
+
+
+# ---------------------------------------------------------------------------
 # export-weights
 # ---------------------------------------------------------------------------
 
@@ -531,3 +645,29 @@ def test_eval_overflowing_checkpoint_exits_numeric(tmp_path, data_dir, run_dir):
     rc = main(["eval", "--data", data_dir, "--checkpoint", ckpt,
                "--out", str(tmp_path / "e")])
     assert rc == EXIT_NUMERIC
+
+
+def test_main_pins_malloc_so_freed_blocks_are_reused(tmp_path):
+    """After ``main`` a freed 8 MiB block is reused without page faults; under
+    glibc's default thresholds each reallocation is mapped afresh and faults."""
+    import ctypes
+    import subprocess
+    import sys
+    if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+        pytest.skip("C library has no mallopt")
+    code = f"""
+import resource, numpy as np
+from envgnn.cli import main
+assert main(["train", "--data", {str(tmp_path / "missing")!r},
+             "--out", {str(tmp_path / "out")!r}]) == {EXIT_IO}
+np.ones(1 << 20).sum()
+f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    np.ones(1 << 20).sum()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+"""
+    src = os.path.dirname(os.path.dirname(envgnn.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert int(out.stdout.split()[-1]) < 50

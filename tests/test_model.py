@@ -10,16 +10,13 @@ from envgnn.config import TrainConfig
 from envgnn.graphdata import Graph
 from envgnn.model import (
     _branch_attention,
-    baseline_forward,
-    canet_forward,
     env_probs,
     export_branch_weights,
     forward,
     gumbel_sample,
     import_branch_weights,
     init_params,
-    moe_gat_preact,
-    moe_gcn_preact,
+    moe_preact,
     prepare_graph,
 )
 from envgnn.rng import Rng, STREAM_DROPOUT, STREAM_GUMBEL, STREAM_INIT
@@ -121,7 +118,7 @@ def test_moe_gcn_gate_collapse_k1():
     params = make_params(cfg)
     z = constant(Rng(8).normal((g.n, 4)))
     e = constant(np.ones((g.n, 1)))
-    out = moe_gcn_preact(z, gt.adj, e, params, 1)
+    out = moe_preact(z, gt, e, params, 1)
     direct = (gt.adj.densify() @ z.value @ params["l1.k1.w_d"].value.T
               + z.value @ params["l1.k1.w_self"].value.T)
     assert np.abs(out.value - direct).max() <= 1e-12
@@ -135,11 +132,11 @@ def test_moe_gcn_one_hot_gate_exclusivity():
     z = constant(Rng(10).normal((g.n, 4)))
     e = np.zeros((g.n, 3))
     e[:, 1] = 1.0
-    out = moe_gcn_preact(z, gt.adj, constant(e), params, 1)
+    out = moe_preact(z, gt, constant(e), params, 1)
     # scrambling the unused branches' weights must not change the output
     params["l1.k1.w_d"].value = Rng(11).normal((4, 4))
     params["l1.k3.w_self"].value = Rng(12).normal((4, 4))
-    out2 = moe_gcn_preact(z, gt.adj, constant(e), params, 1)
+    out2 = moe_preact(z, gt, constant(e), params, 1)
     assert np.abs(out.value - out2.value).max() == 0.0
 
 
@@ -153,7 +150,7 @@ def test_moe_gcn_matches_naive_loop():
         rng = Rng(seed + 200)
         zv = rng.normal((g.n, 4))
         ev = ad.row_softmax(constant(rng.normal((g.n, 3)))).value
-        out = moe_gcn_preact(constant(zv), gt.adj, constant(ev), params, 1)
+        out = moe_preact(constant(zv), gt, constant(ev), params, 1)
         expect = naive_moe_gcn(zv, gt.adj.densify(), ev, params, 1, 3)
         assert np.abs(out.value - expect).max() <= 1e-10
 
@@ -264,7 +261,7 @@ def test_moe_gat_matches_naive_loop():
     rng = Rng(610)
     zv = rng.normal((g.n, 4))
     ev = ad.row_softmax(constant(rng.normal((g.n, 2)))).value
-    out = moe_gat_preact(constant(zv), gt, constant(ev), params, 1)
+    out = moe_preact(constant(zv), gt, constant(ev), params, 1)
     expect = np.zeros((g.n, 4))
     for j in (1, 2):
         att = naive_attention(zv, g.edges, g.n,
@@ -317,15 +314,14 @@ def test_mean_pool_ablation_equals_uniform_gates():
     g = random_graph(seed=20)
     params = make_params(cfg)
     gt = prepare_graph(g, cfg)
-    out = canet_forward(gt, params, cfg, Rng(0), Rng(0), training=True)
+    out = forward(gt, params, cfg, Rng(0), Rng(0), training=True)
 
     # hand-rolled forward with e fixed at 1/K
     k = cfg.num_branches
     z = ad.matmul(gt.features, ad.transpose(params["phi_in"]))
     for l in range(1, cfg.num_layers + 1):
         e = constant(np.full((g.n, k), 1.0 / k))
-        from envgnn.model import moe_gcn_layer
-        z = moe_gcn_layer(z, gt, e, params, l, 0.0, Rng(0), training=True)
+        z = ad.add(ad.relu(moe_preact(z, gt, e, params, l)), z)
     direct = ad.matmul(z, ad.transpose(params["phi_out"])).value
     assert np.abs(out.logits.value - direct).max() <= 1e-12
     for lp in out.posterior:
@@ -351,6 +347,16 @@ def test_feature_dim_mismatch_raises():
         eval_logits(random_graph(seed=22, d=4), cfg, params)
 
 
+@pytest.mark.parametrize("method", ["canet", "erm"])
+def test_forward_rejects_graph_prepared_for_other_backbone(method):
+    g = random_graph(seed=24)
+    for backbone, other in (("gcn", "gat"), ("gat", "gcn")):
+        cfg = TrainConfig(method=method, backbone=backbone, hidden=4)
+        gt = prepare_graph(g, TrainConfig(backbone=other))
+        with pytest.raises(ValueError, match=f"prepared for {other}"):
+            forward(gt, make_params(cfg), cfg, Rng(0), Rng(0), training=False)
+
+
 def test_baseline_gcn_hand_fixture():
     # identity features and identity weights on the 3-node path: each logit row
     # is the self-loop-normalized neighborhood sum plus the residual identity
@@ -360,7 +366,7 @@ def test_baseline_gcn_hand_fixture():
     params = make_params(cfg, in_dim=n, num_classes=n)
     params.load_values({"phi_in": np.eye(n), "l1.w": np.eye(n), "phi_out": np.eye(n)})
     gt = prepare_graph(g, cfg)
-    out = baseline_forward(gt, params, cfg, Rng(0), training=False)
+    out = forward(gt, params, cfg, Rng(0), Rng(0), training=False)
     expect = gt.adj.densify() + np.eye(n)  # relu is inactive: entries >= 0
     assert np.abs(out.logits.value - expect).max() <= 1e-12
     assert out.posterior is None
@@ -373,7 +379,7 @@ def test_baseline_gat_zero_bias_is_mean_aggregation():
     g = random_graph(seed=23)
     params = make_params(cfg)
     gt = prepare_graph(g, cfg)
-    out = baseline_forward(gt, params, cfg, Rng(0), training=False)
+    out = forward(gt, params, cfg, Rng(0), Rng(0), training=False)
     z = g.features @ params["phi_in"].value.T
     msgs = z @ params["l1.w"].value.T
     agg = np.zeros_like(z)
