@@ -39,8 +39,7 @@ from .trainer import (
     TrainAbort,
     TrainResult,
     eval_report,
-    kl_exact,
-    reg_term_mc,
+    regularizer,
     sweep,
     total_loss,
     train,
@@ -78,8 +77,7 @@ __all__ = [
     "TrainAbort",
     "TrainResult",
     "eval_report",
-    "kl_exact",
-    "reg_term_mc",
+    "regularizer",
     "sweep",
     "total_loss",
     "train",

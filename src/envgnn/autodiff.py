@@ -284,14 +284,6 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     return out
 
 
-def log(a) -> Tensor:
-    a = _lift(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(np.log(a.value), (a,), "log")
-    out._backward = lambda g: _accum(a, g / a.value)
-    return out
-
-
 def row_softmax(a) -> Tensor:
     """Row-wise softmax with max-subtraction; rows sum to 1 within 1e-12."""
     a = _lift(a)
@@ -454,7 +446,3 @@ def edge_combine(w, msgs, edges: EdgeIndex) -> Tensor:
     out._backward = bwd
     return out
 
-
-def sample_gumbel(rng: Rng, shape) -> np.ndarray:
-    """Standard Gumbel draws, returned as a plain array (a tape constant)."""
-    return rng.gumbel(shape)

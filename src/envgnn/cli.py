@@ -178,35 +178,29 @@ def load_checkpoint(path: str) -> tuple[ParamSet, TrainConfig]:
 # ---------------------------------------------------------------------------
 
 
+def _flag_values(cls, args) -> dict:
+    """The fields of dataclass ``cls`` given on the command line: each flag's
+    dest is its field, and an absent flag is None, so ``cls`` supplies the
+    defaults."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if getattr(args, f.name, None) is not None}
+
+
 def cmd_gen_data(args) -> int:
     _check_out(args.out, args.force)
     if args.kind == "citation-spurious":
         if not args.base:
             raise UsageError("--base is required for kind=citation-spurious")
         base = load_graph(args.base)
-        cfg = SpuriousGenConfig(spurious_dim=args.spurious_dim, seed=args.seed,
-                                gcn_layers=args.gcn_layers)
+        cfg = SpuriousGenConfig(**_flag_values(SpuriousGenConfig, args))
         ds = gen_spurious_dataset(base, cfg)
     else:
-        cfg = PlantedConfig(
-            n_per_domain=args.n_per_domain,
-            num_classes=args.classes,
-            stable_dim=args.stable_dim,
-            spurious_dim=args.spurious_dim or 4,
-            p_intra=args.p_intra,
-            p_inter=args.p_inter,
-            stable_strength=args.stable_strength,
-            spurious_strength=args.spurious_strength,
-            stable_noise=args.stable_noise,
-            spurious_noise=args.spurious_noise,
-            label_noise=args.label_noise,
-            seed=args.seed,
-        )
+        cfg = PlantedConfig(**_flag_values(PlantedConfig, args))
         ds = gen_planted_dataset(cfg)
     _prepare_out(args.out)
     save_dataset(args.out, ds)
     mhash = dataset_manifest_hash(args.out)
-    _write_manifest(args.out, "gen-data", {"seed": args.seed, "dataset_manifest_hash": mhash})
+    _write_manifest(args.out, "gen-data", {"seed": cfg.seed, "dataset_manifest_hash": mhash})
     _emit({"event": "gen-data", "out": args.out, "manifest_hash": mhash})
     _say(f"dataset written to {args.out} (manifest hash {mhash[:12]})")
     return EXIT_OK
@@ -222,12 +216,8 @@ def _load_json_object(path: str, flag: str) -> dict:
 
 def _load_train_config(args) -> TrainConfig:
     base = _load_json_object(args.config, "--config") if args.config else {}
-    # only flags given on the command line override the file (each flag's
-    # dest is its TrainConfig field, absent flags are None); TrainConfig
-    # supplies the defaults
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
-                 if getattr(args, f.name, None) is not None}
-    merged = {**base, **overrides}
+    # only flags given on the command line override the file
+    merged = {**base, **_flag_values(TrainConfig, args)}
     cfg = TrainConfig.from_dict(merged)
     if cfg.method == "erm" and any(
         k in merged for k in ("num_branches", "tau", "reg_weight")
@@ -306,7 +296,12 @@ def cmd_sweep(args) -> int:
     not_lists = sorted(k for k, v in grid.items() if not isinstance(v, list))
     if not_lists:
         raise UsageError(f"--grid {args.grid}: the values of {not_lists} must be lists")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    if "seed" in grid:
+        raise UsageError(f"--grid {args.grid}: 'seed' is not a grid key; list seeds in --seeds")
+    seeds = [s.strip() for s in args.seeds.split(",")]
+    if not all(s.isdecimal() for s in seeds):
+        raise UsageError(f"--seeds must list nonnegative integers, got {args.seeds!r}")
+    seeds = [int(s) for s in seeds]
     ds = load_dataset(args.data)
     base = TrainConfig()
     if args.config:
@@ -355,20 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", choices=["citation-spurious", "planted"], required=True)
     g.add_argument("--base", help="base graph directory (citation-spurious only)")
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--force", action="store_true")
-    g.add_argument("--spurious-dim", dest="spurious_dim", type=int, default=0)
-    g.add_argument("--gcn-layers", dest="gcn_layers", type=int, default=1)
-    g.add_argument("--n-per-domain", dest="n_per_domain", type=int, default=1000)
-    g.add_argument("--classes", type=int, default=3)
-    g.add_argument("--stable-dim", dest="stable_dim", type=int, default=4)
-    g.add_argument("--p-intra", dest="p_intra", type=float, default=0.02)
-    g.add_argument("--p-inter", dest="p_inter", type=float, default=0.002)
-    g.add_argument("--stable-strength", dest="stable_strength", type=float, default=1.0)
-    g.add_argument("--spurious-strength", dest="spurious_strength", type=float, default=2.0)
-    g.add_argument("--stable-noise", dest="stable_noise", type=float, default=1.0)
-    g.add_argument("--spurious-noise", dest="spurious_noise", type=float, default=1.0)
-    g.add_argument("--label-noise", dest="label_noise", type=float, default=0.0)
+    # generator flags: dest is the generator config field; absent is None
+    g.add_argument("--seed", type=int)
+    g.add_argument("--spurious-dim", dest="spurious_dim", type=int)
+    g.add_argument("--gcn-layers", dest="gcn_layers", type=int)
+    g.add_argument("--n-per-domain", dest="n_per_domain", type=int)
+    g.add_argument("--classes", dest="num_classes", type=int)
+    g.add_argument("--stable-dim", dest="stable_dim", type=int)
+    g.add_argument("--p-intra", dest="p_intra", type=float)
+    g.add_argument("--p-inter", dest="p_inter", type=float)
+    g.add_argument("--stable-strength", dest="stable_strength", type=float)
+    g.add_argument("--spurious-strength", dest="spurious_strength", type=float)
+    g.add_argument("--stable-noise", dest="stable_noise", type=float)
+    g.add_argument("--spurious-noise", dest="spurious_noise", type=float)
+    g.add_argument("--label-noise", dest="label_noise", type=float)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model and write run.json + checkpoint")

@@ -59,7 +59,7 @@ def run_gradcheck(backbone: str = "gcn", num_branches: int = 3, num_layers: int 
     def loss_fn(values: dict[str, np.ndarray]) -> float:
         params.load_values(values)
         root = Rng(seed)  # identical draws on every call: noise is frozen
-        out = forward(gt, params, cfg, root.substream(STREAM_GUMBEL),
+        out = forward(gt, params, root.substream(STREAM_GUMBEL),
                       root.substream(STREAM_DROPOUT), training=True)
         loss, _, _ = total_loss(out, g.labels, rows, cfg)
         return float(loss.value)
@@ -67,7 +67,7 @@ def run_gradcheck(backbone: str = "gcn", num_branches: int = 3, num_layers: int 
     theta = params.values()
     root = Rng(seed)
     params.load_values(theta)
-    out = forward(gt, params, cfg, root.substream(STREAM_GUMBEL),
+    out = forward(gt, params, root.substream(STREAM_GUMBEL),
                   root.substream(STREAM_DROPOUT), training=True)
     loss, _, _ = total_loss(out, g.labels, rows, cfg)
     analytic = ad.backward(loss, params.tensors)

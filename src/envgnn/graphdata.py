@@ -6,8 +6,10 @@ File formats (all plain text, diffable):
 * ``features.tsv`` one node per line, D tab-separated decimal floats
 * ``labels.tsv``   one integer class per line
 * ``splits.json``  {"train": [...], "valid": [...], "test_id": [...],
-                    "ood_groups": [[...], ...] or ["dir", ...]}
-* ``dataset.json`` {name, C, D, metric, id_graphs, ood_graphs, generator}
+                    "ood_groups": ["dir", ...]}; node lists nonempty, no
+                    repeats; ``ood_groups`` is written, never read
+* ``dataset.json`` {name, C, D, metric, id_graphs, ood_graphs, generator};
+                    ``metric`` in ``metrics.METRICS``, roc_auc needs C == 2
 
 The TSV files hold decimal numbers as ``np.loadtxt`` reads them: an integer
 is an optional sign and ASCII digits within int64; a float is anything
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import METRICS
 from .rng import STREAM_SPLIT, Rng
 from .sparse import SparseAdj
 
@@ -107,12 +110,11 @@ def compute_degrees(n: int, edges: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SplitSpec:
-    """Disjoint train/valid/test_id node sets plus ordered OOD groups."""
+    """Disjoint train/valid/test_id node sets over the pooled ID nodes."""
 
     train: np.ndarray
     valid: np.ndarray
     test_id: np.ndarray
-    ood_groups: list
 
     def __post_init__(self):
         self.train = np.asarray(self.train, dtype=np.int64)
@@ -301,7 +303,7 @@ def split_random(universe, ratios, seed: int) -> SplitSpec:
     train = np.sort(perm[:n_train])
     valid = np.sort(perm[n_train : n_train + n_valid])
     test = np.sort(perm[n_train + n_valid :])
-    return SplitSpec(train, valid, test, ood_groups=[])
+    return SplitSpec(train, valid, test)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +397,11 @@ def load_dataset(directory: str) -> Dataset:
     )
     if not id_dirs:
         raise ParseError(mpath, None, "field 'id_graphs' is empty")
+    metric = manifest.get("metric", "accuracy")
+    if metric not in METRICS:
+        raise ParseError(mpath, None, f"field 'metric' must be one of {METRICS}, got {metric!r}")
+    if metric == "roc_auc" and c != 2:
+        raise ParseError(mpath, None, f"metric 'roc_auc' needs C == 2, got C = {c}")
     id_graphs = [load_graph(os.path.join(directory, d), c) for d in id_dirs]
     ood_graphs = [load_graph(os.path.join(directory, d), c) for d in ood_dirs]
     spath = os.path.join(directory, "splits.json")
@@ -402,12 +409,16 @@ def load_dataset(directory: str) -> Dataset:
     n_id = sum(g.n for g in id_graphs)
     for key in ("train", "valid", "test_id"):
         idx = _field(splits, key, spath, lambda v: _is_list_of(v, int), "a list of node indices")
-        if idx and not (min(idx) >= 0 and max(idx) < n_id):
+        if not idx:
+            raise ParseError(spath, None, f"'{key}' is empty")
+        if not (min(idx) >= 0 and max(idx) < n_id):
             bad = next(i for i in idx if not 0 <= i < n_id)
             raise ParseError(spath, None, f"'{key}' index {bad} out of range [0, {n_id})")
-    ood_groups = splits.get("ood_groups", [])
+        if len(set(idx)) < len(idx):
+            values, counts = np.unique(idx, return_counts=True)
+            raise ParseError(spath, None, f"'{key}' repeats index {values[counts > 1][0]}")
     try:
-        split = SplitSpec(splits["train"], splits["valid"], splits["test_id"], ood_groups)
+        split = SplitSpec(splits["train"], splits["valid"], splits["test_id"])
     except ValueError as exc:
         raise ParseError(spath, None, str(exc)) from None
     return Dataset(id_graphs, ood_graphs, split, manifest)

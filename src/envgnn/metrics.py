@@ -7,6 +7,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 
+METRICS = ("accuracy", "macro_f1", "roc_auc")
+
+
 class UndefinedMetricError(ValueError):
     """The metric is not defined for this input (e.g. single-class AUC)."""
 
@@ -70,7 +73,9 @@ def roc_auc(scores, true) -> float:
 
 def score_split(logits: np.ndarray, labels: np.ndarray, idx, metric: str,
                 num_classes: int) -> float:
-    """Apply the dataset's declared metric to one node subset."""
+    """Apply the dataset's declared metric, one of ``METRICS``, to one node subset."""
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     idx = np.asarray(idx, dtype=np.int64)
     pred = logits[idx].argmax(axis=1)
     true = labels[idx]
@@ -78,14 +83,12 @@ def score_split(logits: np.ndarray, labels: np.ndarray, idx, metric: str,
         return accuracy(pred, true)
     if metric == "macro_f1":
         return macro_f1(pred, true, num_classes)
-    if metric == "roc_auc":
-        if num_classes != 2:
-            raise UndefinedMetricError("roc_auc supports binary tasks only")
-        z = logits[idx] - logits[idx].max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        return roc_auc(p[:, 1], true)
-    raise ValueError(f"unknown metric: {metric}")
+    if num_classes != 2:
+        raise UndefinedMetricError("roc_auc supports binary tasks only")
+    z = logits[idx] - logits[idx].max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    return roc_auc(p[:, 1], true)
 
 
 @dataclass

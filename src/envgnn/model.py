@@ -1,13 +1,15 @@
 """Mixture-of-expert GNN predictor with a per-layer environment estimator.
 
 The model keeps K parallel propagation branches per layer. A small estimator
-maps current node embeddings to branch probabilities; a temperature-controlled
-softmax over Gumbel-perturbed probabilities yields soft branch assignments
-that gate the branch outputs per node. Each branch is the backbone
+maps current node embeddings to branch probabilities pi; ``gumbel_sample``,
+a temperature-controlled softmax over Gumbel-perturbed pi (or log pi), yields
+soft branch assignments that gate the branch outputs per node. ``_posterior``
+is the one place that picks the gate's inputs. Each branch is the backbone
 propagation (GCN or GAT, chosen only in ``_propagate``) plus a self term.
 ``forward`` runs both methods in one loop: the plain baseline (erm) uses the
 same input/output projections and residual layers with one propagation per
-layer in place of the gated mixture.
+layer in place of the gated mixture. Every setting the pass reads comes from
+``ParamSet.cfg``, the configuration the parameters were initialized for.
 
 Naming note: the estimator matrix is called ``w_env`` and the per-branch
 self-transform ``w_self`` to keep the two roles apart.
@@ -71,7 +73,8 @@ class ParamSet:
     """Named trainable tensors; the registry the tape reports gradients for.
 
     ``cfg`` is the configuration the tensors were initialized for; it fixes
-    the architecture (backbone, method, layers, width, branches).
+    the architecture (backbone, method, layers, width, branches) and every
+    other setting ``forward`` reads.
     """
 
     def __init__(self, cfg: TrainConfig, in_dim: int, num_classes: int):
@@ -149,27 +152,14 @@ def env_probs(z: Tensor, w_env: Tensor) -> tuple[Tensor, Tensor]:
     return ad.row_softmax(scores), ad.row_log_softmax(scores)
 
 
-def gumbel_sample(pi: Tensor, tau: float, rng: Rng | None, mode: str = "literal",
-                  noise: np.ndarray | None = None,
-                  log_pi: Tensor | None = None) -> tuple[Tensor, np.ndarray]:
-    """Soft branch assignment from Gumbel-perturbed probabilities.
+def gumbel_sample(base: Tensor, tau: float, noise: np.ndarray) -> Tensor:
+    """Soft branch assignment softmax((base + noise) / tau).
 
-    ``literal`` perturbs the probabilities themselves; ``log_prob`` perturbs
-    log-probabilities (the classical trick, under which low-temperature
-    argmax frequencies follow pi). The draws are tape constants.
+    ``base`` is pi itself or, under ``log_prob_gumbel``, log pi (the classical
+    trick, under which low-temperature argmax frequencies follow pi). The
+    noise is a tape constant.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if mode not in ("literal", "log_prob"):
-        raise ValueError(f"unknown gumbel mode: {mode}")
-    if noise is None:
-        noise = ad.sample_gumbel(rng, pi.value.shape)
-    if mode == "log_prob":
-        base = log_pi if log_pi is not None else ad.log(pi)
-    else:
-        base = pi
-    e = ad.row_softmax(ad.scale(ad.add(base, constant(noise)), 1.0 / tau))
-    return e, noise
+    return ad.row_softmax(ad.scale(ad.add(base, constant(noise)), 1.0 / tau))
 
 
 @dataclass
@@ -177,7 +167,6 @@ class LayerPosterior:
     pi: Tensor
     log_pi: Tensor
     e: Tensor
-    noise: np.ndarray
 
 
 @dataclass
@@ -225,47 +214,47 @@ def moe_preact(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: 
     return ad.mix(e, branches)
 
 
-def _posterior(z: Tensor, params: ParamSet, cfg: TrainConfig, layer: int,
-               gumbel_rng: Rng, training: bool) -> LayerPosterior:
+def _posterior(z: Tensor, params: ParamSet, layer: int, gumbel_rng: Rng,
+               training: bool) -> LayerPosterior:
     """The layer's branch distribution and gate: uniform under mean pooling,
     noiseless in eval under ``deterministic_eval``, Gumbel-sampled otherwise."""
-    shape = (z.value.shape[0], params.cfg.num_branches)
+    cfg = params.cfg
+    shape = (z.value.shape[0], cfg.num_branches)
     if cfg.mean_pool_env:
         uniform = constant(np.full(shape, 1.0 / shape[1]))
-        return LayerPosterior(uniform, constant(np.full(shape, -np.log(shape[1]))),
-                              uniform, np.zeros(shape))
-    mode = "log_prob" if cfg.log_prob_gumbel else "literal"
+        return LayerPosterior(uniform, constant(np.full(shape, -np.log(shape[1]))), uniform)
     pi, log_pi = env_probs(z, params.env_weight(layer))
-    if cfg.deterministic_eval and not training:
-        e, noise = gumbel_sample(pi, cfg.tau, None, mode, noise=np.zeros(shape), log_pi=log_pi)
-    else:
-        e, noise = gumbel_sample(pi, cfg.tau, gumbel_rng, mode, log_pi=log_pi)
-    return LayerPosterior(pi, log_pi, e, noise)
+    noise = (np.zeros(shape) if cfg.deterministic_eval and not training
+             else gumbel_rng.gumbel(shape))
+    e = gumbel_sample(log_pi if cfg.log_prob_gumbel else pi, cfg.tau, noise)
+    return LayerPosterior(pi, log_pi, e)
 
 
-def forward(gt: GraphTensors, params: ParamSet, cfg: TrainConfig,
-            gumbel_rng: Rng, dropout_rng: Rng, training: bool) -> ForwardOutput:
-    """Logits of the mixture model (canet) or of its plain backbone (erm).
+def forward(gt: GraphTensors, params: ParamSet, gumbel_rng: Rng, dropout_rng: Rng,
+            training: bool) -> ForwardOutput:
+    """Logits of the mixture model (canet) or of its plain backbone (erm),
+    under the configuration ``params`` was initialized for.
 
     Every layer maps z to z + dropout(relu(pre)). For erm, pre is the
     backbone propagation with the layer's one weight; for canet, it is the
     gated mixture of K branches under the layer's posterior, which is
     returned alongside the logits.
     """
+    cfg = params.cfg
     if params.in_dim != gt.features.value.shape[1]:
         raise ValueError("feature dimension does not match phi_in")
     prepared = "gcn" if gt.adj is not None else "gat"
-    if prepared != params.cfg.backbone:
+    if prepared != cfg.backbone:
         raise ValueError(f"graph tensors were prepared for {prepared}, "
-                         f"the model's backbone is {params.cfg.backbone}")
+                         f"the model's backbone is {cfg.backbone}")
     posterior = None if cfg.method == "erm" else []
     z = ad.matmul(gt.features, ad.transpose(params["phi_in"]))
-    for l in range(1, params.cfg.num_layers + 1):
+    for l in range(1, cfg.num_layers + 1):
         if posterior is None:
             w = params[f"l{l}.w"]
             pre = _propagate(z, gt, w, w, params.tensors.get(f"l{l}.b"))
         else:
-            posterior.append(_posterior(z, params, cfg, l, gumbel_rng, training))
+            posterior.append(_posterior(z, params, l, gumbel_rng, training))
             pre = moe_preact(z, gt, posterior[-1].e, params, l)
         z = ad.add(ad.dropout(ad.relu(pre), cfg.dropout, dropout_rng, training), z)
     return ForwardOutput(ad.matmul(z, ad.transpose(params["phi_out"])), posterior)

@@ -2,7 +2,10 @@
 
 One optimizer step per epoch on the full (disjoint-union) ID graph, best
 checkpoint selected by the validation metric within a fixed epoch budget,
-final metrics on the ID test split and every OOD group.
+final metrics on the ID test split and every OOD group. ``regularizer`` is
+the KL of the layer posteriors to the uniform prior, in closed form or as its
+Monte-Carlo estimate; ``total_loss`` adds it unless the run has no learned
+posterior or turns the term off.
 """
 
 from __future__ import annotations
@@ -20,13 +23,7 @@ from .graphdata import Dataset, Graph
 from .metrics import MetricsReport, score_split
 from .model import ForwardOutput, GraphTensors, ParamSet, forward, init_params, prepare_graph
 from .optim import AdamState, adam_step
-from .rng import (
-    Rng,
-    STREAM_DROPOUT,
-    STREAM_EVAL,
-    STREAM_GUMBEL,
-    STREAM_INIT,
-)
+from .rng import STREAM_DROPOUT, STREAM_EVAL, STREAM_GUMBEL, STREAM_INIT, Rng
 
 
 class TrainAbort(RuntimeError):
@@ -42,25 +39,23 @@ class TrainAbort(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def reg_term_mc(posterior, rows, num_branches: int) -> Tensor:
-    """Monte-Carlo regularizer: mean over rows of sum_k (e log pi + e log K),
-    averaged over layers; differentiable through both e and pi."""
+def regularizer(posterior, rows, num_branches: int, exact: bool) -> Tensor:
+    """KL of each layer's posterior to the uniform prior, averaged over layers.
+
+    ``exact`` takes the closed form, the mean over rows of
+    sum_k pi log pi + log K. Otherwise it is the Monte-Carlo form, the mean
+    over rows of sum_k (e log pi + e log K), differentiable through both e
+    and pi.
+    """
     log_k = float(np.log(num_branches))
     total = None
     for layer in posterior:
-        term = ad.add(ad.mul(layer.e, layer.log_pi), ad.scale(layer.e, log_k))
-        contrib = ad.masked_row_mean(term, rows)
-        total = contrib if total is None else ad.add(total, contrib)
-    return ad.scale(total, 1.0 / len(posterior))
-
-
-def kl_exact(posterior, rows, num_branches: int) -> Tensor:
-    """Closed-form KL to the uniform prior: mean of sum_k pi log pi + log K."""
-    log_k = float(np.log(num_branches))
-    total = None
-    for layer in posterior:
-        ent = ad.masked_row_mean(ad.mul(layer.pi, layer.log_pi), rows)
-        contrib = ad.add(ent, constant(log_k))
+        if exact:
+            contrib = ad.add(ad.masked_row_mean(ad.mul(layer.pi, layer.log_pi), rows),
+                             constant(log_k))
+        else:
+            term = ad.add(ad.mul(layer.e, layer.log_pi), ad.scale(layer.e, log_k))
+            contrib = ad.masked_row_mean(term, rows)
         total = contrib if total is None else ad.add(total, contrib)
     return ad.scale(total, 1.0 / len(posterior))
 
@@ -78,19 +73,10 @@ def total_loss(output: ForwardOutput, labels, rows, cfg: TrainConfig
                ) -> tuple[Tensor, float, float]:
     """Supervised term plus weighted regularizer; returns term values too."""
     sup = ad.cross_entropy(output.logits, labels, rows)
-    use_reg = (
-        cfg.method == "canet"
-        and not cfg.no_reg_loss
-        and cfg.reg_weight > 0.0
-        and output.posterior is not None
-        and not cfg.mean_pool_env
-    )
-    if not use_reg:
+    if (output.posterior is None or cfg.no_reg_loss or cfg.reg_weight == 0.0
+            or cfg.mean_pool_env):
         return sup, float(sup.value), 0.0
-    if cfg.exact_kl:
-        reg = kl_exact(output.posterior, rows, cfg.num_branches)
-    else:
-        reg = reg_term_mc(output.posterior, rows, cfg.num_branches)
+    reg = regularizer(output.posterior, rows, cfg.num_branches, cfg.exact_kl)
     loss = ad.add(sup, ad.scale(reg, cfg.reg_weight))
     return loss, float(sup.value), float(reg.value)
 
@@ -135,11 +121,11 @@ class TrainResult:
         }
 
 
-def _eval_forward(gt: GraphTensors, params: ParamSet, cfg: TrainConfig, seed: int
-                  ) -> np.ndarray:
-    """Deterministic evaluation pass: fixed eval sub-stream, dropout off."""
-    root = Rng(seed)
-    out = forward(gt, params, cfg,
+def _eval_forward(gt: GraphTensors, params: ParamSet) -> np.ndarray:
+    """Deterministic evaluation pass: the eval sub-stream of the model's
+    seed, dropout off."""
+    root = Rng(params.cfg.seed)
+    out = forward(gt, params,
                   gumbel_rng=root.substream(STREAM_EVAL),
                   dropout_rng=root.substream(STREAM_EVAL).substream(1),
                   training=False)
@@ -174,13 +160,13 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         try:
-            out = forward(gt, params, cfg, gumbel_rng, dropout_rng, training=True)
+            out = forward(gt, params, gumbel_rng, dropout_rng, training=True)
             loss, sup_val, reg_val = total_loss(out, labels, split.train, cfg)
             grads = ad.backward(loss, params.tensors)
             adam_step(main, {n: grads[n] for n in main}, state_main, cfg.lr, cfg.weight_decay)
             if env:
                 adam_step(env, {n: grads[n] for n in env}, state_env, lr_env, cfg.weight_decay)
-            logits = _eval_forward(gt, params, cfg, cfg.seed)
+            logits = _eval_forward(gt, params)
         except NumericError as exc:
             raise TrainAbort(epoch, str(exc)) from exc
         rec = {
@@ -219,13 +205,13 @@ def eval_report(params: ParamSet, dataset: Dataset, cfg: TrainConfig) -> Metrics
 
     union = disjoint_union(dataset.id_graphs)
     gt = prepare_graph(union, cfg)
-    logits = _eval_forward(gt, params, cfg, cfg.seed)
+    logits = _eval_forward(gt, params)
     report.add("test_id", score_split(logits, union.labels, dataset.split.test_id, metric, c),
                len(dataset.split.test_id))
 
     for i, g in enumerate(dataset.ood_graphs, start=1):
         ogt = prepare_graph(g, cfg)
-        ologits = _eval_forward(ogt, params, cfg, cfg.seed)
+        ologits = _eval_forward(ogt, params)
         report.add(f"ood_{i}", score_split(ologits, g.labels, np.arange(g.n), metric, c), g.n)
     return report
 
@@ -244,9 +230,11 @@ def sweep(dataset: Dataset, grid: dict[str, list], seeds: list[int],
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("grid must be nonempty")
+    if "seed" in grid:
+        raise ValueError("'seed' is not a grid key: the seeds argument lists the seeds")
     base = base or TrainConfig()
     keys = sorted(grid)
-    results = []
+    results, means = [], {}
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         valid_scores = []
@@ -261,12 +249,8 @@ def sweep(dataset: Dataset, grid: dict[str, list], seeds: list[int],
                 "selected_epoch": res.selected_epoch,
                 "final": res.final,
             })
-        results[-1]["mean_valid"] = float(np.mean(valid_scores))
+        means[tuple(overrides.items())] = results[-1]["mean_valid"] = float(np.mean(valid_scores))
     # pick by mean validation metric across seeds, deterministic tie-break
-    by_combo = {}
-    for r in results:
-        key = tuple(sorted(r["overrides"].items()))
-        by_combo.setdefault(key, []).append(r["best_valid"])
-    best_key = max(sorted(by_combo), key=lambda k: float(np.mean(by_combo[k])))
+    best_key = max(sorted(means), key=means.get)
     best_cfg = TrainConfig.from_dict({**base.to_dict(), **dict(best_key)})
     return best_cfg, results

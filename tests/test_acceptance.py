@@ -29,7 +29,7 @@ from envgnn.model import (
 from envgnn.optim import AdamState, adam_step
 from envgnn.rng import Rng, STREAM_DROPOUT, STREAM_GUMBEL, STREAM_INIT
 from envgnn.shiftgen import PlantedConfig, gen_planted_dataset
-from envgnn.trainer import disjoint_union, kl_exact, kl_exact_rows, reg_term_mc, train
+from envgnn.trainer import disjoint_union, kl_exact_rows, regularizer, train
 
 
 _reporter = None
@@ -92,9 +92,9 @@ def test_accept_02_regularizer_properties():
     draw_rng = Rng(21).substream(STREAM_GUMBEL)
     vals = np.empty(10_000)
     for i in range(vals.size):
-        e, _ = gumbel_sample(pi_t, 1.0, draw_rng, "literal", log_pi=log_pi_t)
-        post = [LayerPosterior(pi_t, log_pi_t, e, None)]
-        vals[i] = float(reg_term_mc(post, idx, k).value)
+        e = gumbel_sample(pi_t, 1.0, draw_rng.gumbel((rows, k)))
+        post = [LayerPosterior(pi_t, log_pi_t, e)]
+        vals[i] = float(regularizer(post, idx, k, exact=False).value)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(vals.size))
     se_ok = se < max(0.01 * abs(mean), 1e-3)
@@ -103,11 +103,10 @@ def test_accept_02_regularizer_properties():
     zeros = constant(np.zeros((50, 3)))
     u_pi = ad.row_softmax(zeros)
     u_log = ad.row_log_softmax(zeros)
-    e, _ = gumbel_sample(u_pi, 1.0, Rng(22).substream(STREAM_GUMBEL), "literal",
-                         log_pi=u_log)
-    post = [LayerPosterior(u_pi, u_log, e, None)]
-    mc_fix = abs(float(reg_term_mc(post, np.arange(50), 3).value))
-    ex_fix = abs(float(kl_exact(post, np.arange(50), 3).value))
+    e = gumbel_sample(u_pi, 1.0, Rng(22).substream(STREAM_GUMBEL).gumbel((50, 3)))
+    post = [LayerPosterior(u_pi, u_log, e)]
+    mc_fix = abs(float(regularizer(post, np.arange(50), 3, exact=False).value))
+    ex_fix = abs(float(regularizer(post, np.arange(50), 3, exact=True).value))
 
     ok = min_kl >= -1e-9 and se_ok and mc_fix <= 1e-9 and ex_fix <= 1e-9
     report(2, ok, f"KL min {min_kl:.2e} (>= -1e-9), MC mean {mean:.4f} SE {se:.2e}, "
@@ -124,8 +123,7 @@ def test_accept_03_gumbel_argmax_frequencies():
     n = 100_000
     pi_t = constant(np.tile(target, (n, 1)))
     log_pi_t = constant(np.tile(np.log(target), (n, 1)))
-    e, _ = gumbel_sample(pi_t, 0.05, Rng(30).substream(STREAM_GUMBEL),
-                         "log_prob", log_pi=log_pi_t)
+    e = gumbel_sample(log_pi_t, 0.05, Rng(30).substream(STREAM_GUMBEL).gumbel((n, 3)))
     counts = np.bincount(e.value.argmax(axis=1), minlength=3)
     freq = counts / n
     oracle = np.bincount(
@@ -360,7 +358,7 @@ def _median_epoch_times(instances, labels, repeats=5):
         for ts, (gt, params, cfg) in zip(times, instances):
             root = Rng(cfg.seed)
             t0 = time.perf_counter()
-            out = forward(gt, params, cfg, root.substream(STREAM_GUMBEL),
+            out = forward(gt, params, root.substream(STREAM_GUMBEL),
                           root.substream(STREAM_DROPOUT), training=True)
             loss = ad.cross_entropy(out.logits, labels, np.arange(gt.n))
             ad.backward(loss, params.tensors)
@@ -376,7 +374,7 @@ def test_accept_08_cost_scaling_and_edge_accounting():
 
     ad.edge_touches.reset()
     root = Rng(c1.seed)
-    forward(gt1, p1, c1, root.substream(STREAM_GUMBEL),
+    forward(gt1, p1, root.substream(STREAM_GUMBEL),
             root.substream(STREAM_DROPOUT), training=True)
     touched = ad.edge_touches.count
     expected = c1.num_layers * k_base * gt1.stored_edges

@@ -152,16 +152,6 @@ def test_activation_gradients_away_from_kink():
     fd_check(lambda p: ad.sum_all(ad.leaky_relu(p["x"], 0.2)), {"x": x})
 
 
-def test_log_gradient():
-    fd_check(lambda p: ad.sum_all(ad.log(p["x"])),
-             {"x": np.abs(Rng(9).normal((3, 3))) + 0.5})
-
-
-def test_log_of_zero_raises():
-    with pytest.raises(NumericError):
-        ad.log(constant([0.0, 1.0]))
-
-
 # ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
@@ -615,19 +605,6 @@ def test_nan_detection_on_construction():
         Tensor(np.array([np.nan]))
 
 
-def test_sample_gumbel_fixed_point_and_moments():
-    # the transform maps u = 1/e to exactly 0
-    assert abs(-np.log(-np.log(1.0 / np.e))) <= 1e-12
-    draws = ad.sample_gumbel(Rng(33), (1000, 1000))
-    assert abs(draws.mean() - np.euler_gamma) <= 0.01
-
-
-def test_sample_gumbel_deterministic_per_seed():
-    a = ad.sample_gumbel(Rng(34), (5, 5))
-    b = ad.sample_gumbel(Rng(34), (5, 5))
-    assert np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # tape lifetime
 # ---------------------------------------------------------------------------
@@ -644,7 +621,6 @@ PRIMITIVES = {
     "spmm": lambda x: ad.spmm(_ADJ, x),
     "relu": ad.relu,
     "leaky_relu": ad.leaky_relu,
-    "log": ad.log,
     "row_softmax": ad.row_softmax,
     "row_log_softmax": ad.row_log_softmax,
     "dropout": lambda x: ad.dropout(x, 0.5, Rng(0), True),
@@ -663,7 +639,7 @@ def test_every_primitive_has_a_lifetime_case():
     public = {name for name, f in vars(ad).items()
               if inspect.isfunction(f) and f.__module__ == ad.__name__
               and not name.startswith("_")}
-    assert public - {"backward", "constant", "parameter", "sample_gumbel"} == set(PRIMITIVES)
+    assert public - {"backward", "constant", "parameter"} == set(PRIMITIVES)
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))

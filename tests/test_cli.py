@@ -104,6 +104,32 @@ def test_gen_data_non_finite_parameter_is_usage_error(tmp_path, capsys, flag, va
     assert f"{field} must be finite" in capsys.readouterr().err
 
 
+def test_gen_data_planted_spurious_dim_zero_has_no_spurious_features(tmp_path):
+    out = str(tmp_path / "x")
+    rc = main(["gen-data", "--kind", "planted", "--out", out, "--n-per-domain", "20",
+               "--stable-dim", "3", "--spurious-dim", "0"])
+    assert rc == EXIT_OK
+    ds = load_dataset(out)
+    assert ds.num_features == 3
+    assert ds.metadata["generator"]["config"]["spurious_dim"] == 0
+
+
+def test_gen_data_flags_fill_the_generator_config(tmp_path):
+    # every generator flag lands in its config field; absent flags keep the
+    # config's defaults
+    from envgnn.shiftgen import PlantedConfig, gen_planted_dataset
+
+    out = str(tmp_path / "x")
+    assert main(["gen-data", "--kind", "planted", "--out", out, "--seed", "4",
+                 "--n-per-domain", "20", "--classes", "2", "--label-noise", "0.1"]) == EXIT_OK
+    expect = gen_planted_dataset(PlantedConfig(n_per_domain=20, num_classes=2,
+                                               label_noise=0.1, seed=4))
+    got = load_dataset(out)
+    assert got.metadata["generator"] == json.loads(json.dumps(expect.metadata["generator"]))
+    for a, b in zip(got.id_graphs + got.ood_graphs, expect.id_graphs + expect.ood_graphs):
+        assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+
+
 def test_gen_data_refuses_overwrite(tmp_path):
     d = str(tmp_path / "dup")
     args = ["gen-data", "--kind", "planted", "--out", d, "--seed", "0",
@@ -304,6 +330,19 @@ def test_every_json_write_in_the_package_is_strict():
     assert calls and not loose
 
 
+def test_package_exports_are_exactly_its_imports():
+    # a name deleted from a module but left in __all__, or imported but not
+    # exported, fails here rather than at a user's import
+    with open(envgnn.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(envgnn.__all__) == sorted(imported)
+    assert len(set(envgnn.__all__)) == len(envgnn.__all__)
+    for name in envgnn.__all__:
+        assert getattr(envgnn, name) is not None, name
+
+
 def test_train_config_admits_int_for_float_and_null_for_optional():
     from envgnn.config import TrainConfig
 
@@ -394,6 +433,7 @@ def test_sweep_bookkeeping(tmp_path, data_dir):
     ("--grid", "[1, 2]", "expected a JSON object"),
     ("--grid", '{"lr": 0.01}', "['lr'] must be lists"),
     ("--config", '["epochs", 2]', "expected a JSON object"),
+    ("--grid", '{"seed": [1, 2]}', "'seed' is not a grid key"),
 ])
 def test_sweep_malformed_grid_or_config_is_usage_error(tmp_path, data_dir, capsys,
                                                        flag, text, named):
@@ -409,6 +449,40 @@ def test_sweep_malformed_grid_or_config_is_usage_error(tmp_path, data_dir, capsy
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"{flag} {paths[flag]}" in err and named in err
+
+
+@pytest.mark.parametrize("seeds", ["a", "0,,1", "-1", "", "1.5"])
+def test_sweep_bad_seeds_is_usage_error(tmp_path, data_dir, capsys, seeds):
+    grid = str(tmp_path / "grid.json")
+    with open(grid, "w") as fh:
+        json.dump({"lr": [0.01]}, fh)
+    rc = main(["sweep", "--data", data_dir, "--grid", grid, f"--seeds={seeds}",
+               "--out", str(tmp_path / "sweep")])
+    assert rc == EXIT_USAGE
+    assert "--seeds must list nonnegative integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, edit, named", [
+    ("splits.json", lambda s: s.__setitem__("valid", []), "'valid' is empty"),
+    ("splits.json", lambda s: s["train"].append(s["train"][0]), "'train' repeats index"),
+    ("dataset.json", lambda m: m.__setitem__("metric", "f1"), "field 'metric'"),
+    ("dataset.json", lambda m: m.__setitem__("metric", "roc_auc"), "metric 'roc_auc' needs C == 2"),
+])
+def test_train_bad_split_or_metric_fails_at_load(tmp_path, data_dir, capsys, monkeypatch,
+                                                 name, edit, named):
+    import envgnn.cli as cli_mod
+
+    d = str(tmp_path / "data")
+    shutil.copytree(data_dir, d)
+    path = os.path.join(d, name)
+    payload = json.load(open(path))
+    edit(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    monkeypatch.setattr(cli_mod, "train", lambda *a: pytest.fail("training started"))
+    rc = main(["train", "--data", d, "--out", str(tmp_path / "r"), "--epochs", "1"])
+    assert rc == EXIT_USAGE
+    assert f"{name}: {named}" in capsys.readouterr().err
 
 
 def test_eval_manifest_without_classes_is_usage_error(tmp_path, data_dir, run_dir, capsys):

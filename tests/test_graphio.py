@@ -226,7 +226,7 @@ def test_split_rejects_bad_ratios():
 
 def test_splitspec_rejects_overlap():
     with pytest.raises(ValueError):
-        SplitSpec([0, 1], [1, 2], [3], [])
+        SplitSpec([0, 1], [1, 2], [3])
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +316,12 @@ def _edit_json(path, edit):
                  id="ood-not-names"),
     pytest.param(lambda m: m.__setitem__("id_graphs", []), "'id_graphs' is empty",
                  id="id-empty"),
+    pytest.param(lambda m: m.__setitem__("metric", "f1"), "field 'metric' must be one of",
+                 id="metric-unknown"),
+    pytest.param(lambda m: m.__setitem__("metric", 5), "field 'metric' must be one of",
+                 id="metric-number"),
+    pytest.param(lambda m: m.update(metric="roc_auc", C=3), "'roc_auc' needs C == 2",
+                 id="roc-auc-multiclass"),
 ])
 def test_load_dataset_rejects_bad_manifest_field(tmp_path, edit, named):
     d = str(tmp_path / "ds")
@@ -348,6 +354,38 @@ def test_load_dataset_rejects_non_integer_split(tmp_path, value):
     _edit_json(os.path.join(d, "splits.json"), lambda s: s.__setitem__("train", value))
     with pytest.raises(ParseError, match="field 'train' must be a list of node indices"):
         load_dataset(d)
+
+
+@pytest.mark.parametrize("metric", ["accuracy", "macro_f1", "roc_auc"])
+def test_load_dataset_accepts_every_metric_on_a_binary_task(tmp_path, metric):
+    d = str(tmp_path / "ds")
+    save_dataset(d, make_dataset())
+    _edit_json(os.path.join(d, "dataset.json"), lambda m: m.__setitem__("metric", metric))
+    assert load_dataset(d).metric == metric
+
+
+@pytest.mark.parametrize("key", ["train", "valid", "test_id"])
+def test_load_dataset_rejects_empty_split(tmp_path, key):
+    d = str(tmp_path / "ds")
+    save_dataset(d, make_dataset())
+    spath = os.path.join(d, "splits.json")
+    _edit_json(spath, lambda s: s.__setitem__(key, []))
+    with pytest.raises(ParseError, match=f"'{key}' is empty") as exc:
+        load_dataset(d)
+    assert exc.value.path == spath
+
+
+@pytest.mark.parametrize("key", ["train", "valid", "test_id"])
+def test_load_dataset_rejects_repeated_split_index(tmp_path, key):
+    d = str(tmp_path / "ds")
+    save_dataset(d, make_dataset())
+    spath = os.path.join(d, "splits.json")
+    with open(spath) as fh:
+        repeated = json.load(fh)[key][-1]
+    _edit_json(spath, lambda s: s[key].insert(0, repeated))
+    with pytest.raises(ParseError, match=f"'{key}' repeats index {repeated}") as exc:
+        load_dataset(d)
+    assert exc.value.path == spath
 
 
 def test_load_dataset_rejects_overlapping_splits(tmp_path):

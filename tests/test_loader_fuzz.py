@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from envgnn.cli import EXIT_COMPAT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from envgnn.config import TrainConfig
+from envgnn.metrics import METRICS
 
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -135,6 +136,7 @@ manifest_edits = st.one_of(
               json_values.filter(lambda v: not (isinstance(v, list)
                                                 and all(isinstance(d, str) for d in v)))),
     st.tuples(st.just("missing-graph"), st.sampled_from(["id_graphs", "ood_graphs"])),
+    st.tuples(st.just("metric"), json_values.filter(lambda v: v not in METRICS)),
 )
 
 
@@ -172,6 +174,7 @@ split_edits = st.one_of(
               st.tuples(st.sampled_from(SPLITS),
                         st.integers().filter(lambda i: not 0 <= i < 36))),
     st.tuples(st.just("overlap"), st.sampled_from(SPLITS[1:])),
+    st.tuples(st.sampled_from(["empty", "repeat"]), st.sampled_from(SPLITS)),
 )
 
 
@@ -191,6 +194,10 @@ def test_malformed_splits_are_a_clean_failure(served, edit):
             splits[arg[0]].append(arg[1])
         elif kind == "overlap":
             splits[arg].append(splits["train"][0])
+        elif kind == "empty":
+            splits[arg] = []
+        elif kind == "repeat":
+            splits[arg].append(splits[arg][0])
         else:
             splits[kind] = arg
         write(path, splits)

@@ -53,6 +53,19 @@ def test_open_uniform_excludes_endpoints():
     assert np.isfinite(-np.log(-np.log(u))).all()
 
 
+def test_gumbel_fixed_point_and_moments():
+    # the transform maps u = 1/e to exactly 0
+    assert abs(-np.log(-np.log(1.0 / np.e))) <= 1e-12
+    draws = Rng(33).gumbel((1000, 1000))
+    assert abs(draws.mean() - np.euler_gamma) <= 0.01
+
+
+def test_gumbel_deterministic_per_seed():
+    a = Rng(34).gumbel((5, 5))
+    b = Rng(34).gumbel((5, 5))
+    assert np.array_equal(a, b)
+
+
 def test_uniform_range_and_moments():
     u = Rng(12).uniform((100000,))
     assert 0.0 <= u.min() and u.max() < 1.0

@@ -14,9 +14,8 @@ from envgnn.trainer import (
     TrainAbort,
     disjoint_union,
     eval_report,
-    kl_exact,
     kl_exact_rows,
-    reg_term_mc,
+    regularizer,
     sweep,
     total_loss,
     train,
@@ -31,8 +30,7 @@ def posterior_from_probs(pi_rows, e_rows):
     # stand-in log that is finite where pi is 0 (matches the stable path's
     # large-negative values; the e weights there are 0 in these fixtures)
     log_pi = np.where(np.isfinite(log_pi), log_pi, -1e6)
-    return [LayerPosterior(constant(pi), constant(log_pi), constant(e),
-                           np.zeros_like(pi))]
+    return [LayerPosterior(constant(pi), constant(log_pi), constant(e))]
 
 
 def small_dataset(n=30, seed=0, **kw):
@@ -50,7 +48,7 @@ def small_dataset(n=30, seed=0, **kw):
 def test_mc_term_uniform_fixed_point_is_zero():
     k = 4
     post = posterior_from_probs(np.full((5, k), 1 / k), np.full((5, k), 1 / k))
-    val = float(reg_term_mc(post, np.arange(5), k).value)
+    val = float(regularizer(post, np.arange(5), k, exact=False).value)
     assert abs(val) <= 1e-9
 
 
@@ -58,12 +56,12 @@ def test_mc_term_degenerate_mass_is_log_k():
     pi = np.zeros((3, 4))
     pi[:, 0] = 1.0
     post = posterior_from_probs(pi, pi)  # e = pi, 0*log0 handled by e=0
-    val = float(reg_term_mc(post, np.arange(3), 4).value)
+    val = float(regularizer(post, np.arange(3), 4, exact=False).value)
     assert abs(val - np.log(4.0)) <= 1e-9
 
 
 def test_mc_term_mean_tracks_exact_kl():
-    # fixed pi, many Gumbel redraws in log_prob mode: the sampled e stay in
+    # fixed pi, many Gumbel redraws perturbing log pi: the sampled e stay in
     # the simplex, so the MC mean settles near a deterministic value; we pin
     # the standard error, not the limit itself
     rng = Rng(70).substream(STREAM_GUMBEL)
@@ -75,9 +73,9 @@ def test_mc_term_mean_tracks_exact_kl():
 
     vals = []
     for _ in range(2000):
-        e, _ = gumbel_sample(pi, 1.0, rng, "log_prob", log_pi=log_pi)
-        post = [LayerPosterior(pi, log_pi, e, None)]
-        vals.append(float(reg_term_mc(post, np.arange(rows), 3).value))
+        e = gumbel_sample(log_pi, 1.0, rng.gumbel((rows, 3)))
+        post = [LayerPosterior(pi, log_pi, e)]
+        vals.append(float(regularizer(post, np.arange(rows), 3, exact=False).value))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert se < max(0.01 * abs(vals.mean()), 1e-3)
@@ -86,7 +84,7 @@ def test_mc_term_mean_tracks_exact_kl():
 def test_kl_exact_uniform_is_zero():
     k = 5
     post = posterior_from_probs(np.full((4, k), 1 / k), np.full((4, k), 1 / k))
-    assert abs(float(kl_exact(post, np.arange(4), k).value)) <= 1e-12
+    assert abs(float(regularizer(post, np.arange(4), k, exact=True).value)) <= 1e-12
 
 
 def test_kl_exact_one_hot_is_log_k():
@@ -97,9 +95,9 @@ def test_kl_exact_matches_brute_force():
     rng = Rng(71)
     for _ in range(50):
         pi = ad.row_softmax(constant(rng.normal((6, 4)))).value
-        post = posterior_from_probs(pi, pi * 0 + pi)  # e unused by kl_exact
+        post = posterior_from_probs(pi, pi * 0 + pi)  # e unused by the exact form
         post[0].log_pi = constant(np.log(pi))
-        val = float(kl_exact(post, np.arange(6), 4).value)
+        val = float(regularizer(post, np.arange(6), 4, exact=True).value)
         brute = np.mean([sum(p * np.log(p * 4) for p in row) for row in pi])
         assert abs(val - brute) <= 1e-12
 
@@ -127,7 +125,7 @@ def forward_small(cfg, seed=0):
     params = init_params(cfg, g.num_features, g.num_classes,
                          Rng(seed).substream(STREAM_INIT))
     root = Rng(seed)
-    out = forward(gt, params, cfg, root.substream(STREAM_GUMBEL),
+    out = forward(gt, params, root.substream(STREAM_GUMBEL),
                   root.substream(STREAM_DROPOUT), training=True)
     return out, g
 
@@ -146,7 +144,7 @@ def test_total_loss_composes_terms():
     out, g = forward_small(cfg)
     loss, sup, reg = total_loss(out, g.labels, np.arange(g.n), cfg)
     ce = float(ad.cross_entropy(out.logits, g.labels, np.arange(g.n)).value)
-    mc = float(reg_term_mc(out.posterior, np.arange(g.n), cfg.num_branches).value)
+    mc = float(regularizer(out.posterior, np.arange(g.n), cfg.num_branches, exact=False).value)
     assert abs(float(loss.value) - (ce + 0.7 * mc)) <= 1e-12
     assert sup == pytest.approx(ce, abs=1e-15)
     assert reg == pytest.approx(mc, abs=1e-15)
@@ -164,7 +162,7 @@ def test_total_loss_exact_kl_mode():
     cfg = TrainConfig(hidden=8, reg_weight=1.0, exact_kl=True, dropout=0.0)
     out, g = forward_small(cfg)
     loss, sup, reg = total_loss(out, g.labels, np.arange(g.n), cfg)
-    direct = float(kl_exact(out.posterior, np.arange(g.n), cfg.num_branches).value)
+    direct = float(regularizer(out.posterior, np.arange(g.n), cfg.num_branches, exact=True).value)
     assert reg == pytest.approx(direct, abs=1e-15)
 
 
@@ -310,8 +308,16 @@ def test_sweep_singleton_grid():
 def test_sweep_result_count():
     ds = small_dataset()
     base = TrainConfig(hidden=8, epochs=2)
-    _, results = sweep(ds, {"lr": [0.01, 0.005], "hidden": [4, 8]}, [0, 1], base)
+    best, results = sweep(ds, {"lr": [0.01, 0.005], "hidden": [4, 8]}, [0, 1], base)
     assert len(results) == 2 * 2 * 2
+    # each combination's last record carries its mean over seeds; the best
+    # combination has the highest
+    means = {}
+    for first, last in zip(results[::2], results[1::2]):
+        assert "mean_valid" not in first
+        assert last["mean_valid"] == np.mean([first["best_valid"], last["best_valid"]])
+        means[(last["overrides"]["hidden"], last["overrides"]["lr"])] = last["mean_valid"]
+    assert means[(best.hidden, best.lr)] == max(means.values())
 
 
 def test_sweep_selects_dominant_config():
@@ -322,6 +328,11 @@ def test_sweep_selects_dominant_config():
     best, results = sweep(ds, {"lr": [0.0, 0.01]}, [0], base)
     assert best.lr == 0.01
     assert results[0]["best_valid"] < results[1]["best_valid"]
+
+
+def test_sweep_rejects_seed_as_grid_key():
+    with pytest.raises(ValueError, match="'seed' is not a grid key"):
+        sweep(small_dataset(), {"seed": [1, 2]}, [0])
 
 
 def test_sweep_rejects_empty_grid():
