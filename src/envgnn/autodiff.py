@@ -2,10 +2,11 @@
 
 This is not a general autodiff system: it supports exactly the operations the
 models in this package need (dense matmul, CSR propagation, activations,
-softmax, dropout, cross-entropy, the branch gate, edge gather/softmax/scatter
-for attention, and a few reductions). Every primitive records its inputs and a
-backward closure on the implicit tape formed by the ``Tensor`` graph;
-``backward`` replays it in reverse topological order, visiting each node once.
+softmax, dropout, cross-entropy, the branch gate, the gated GCN branch mixture
+``gcn_mixture``, edge gather/softmax/scatter for attention, and a few
+reductions). Every primitive records its inputs and a backward closure on the
+implicit tape formed by the ``Tensor`` graph; ``backward`` replays it in
+reverse topological order, visiting each node once.
 
 All values are 64-bit floats. Every primitive checks its output for NaN/Inf
 and raises ``NumericError`` instead of letting non-finite values propagate.
@@ -263,6 +264,48 @@ def spmm(s: SparseAdj, m) -> Tensor:
     edge_touches.add(s.nnz)
     out = Tensor(s.csr @ m.value, (m,), "spmm")
     out._backward = lambda g: _accum(m, s.csr.T @ g)
+    return out
+
+
+def gcn_mixture(adj: SparseAdj, z, e, w_d, w_self) -> Tensor:
+    """Gated GCN mixture ``sum_k e[:, k:k+1] * (A z W_d,k^T + z W_self,k^T)``
+    of K branches under (N, K) gates, as one node.
+
+    The K message and K self transforms are one matmul each over the stacked
+    weights; propagation stays one CSR product per branch, so one call counts
+    K * nnz edge touches.
+    """
+    z, e = _lift(z), _lift(e)
+    w_d, w_self = [_lift(w) for w in w_d], [_lift(w) for w in w_self]
+    zv, gates, k = z.value, e.value, len(w_d)
+    shape = w_d[0].shape if w_d else ()
+    if (zv.ndim != 2 or len(shape) != 2 or shape[1] != zv.shape[1] or len(w_self) != k
+            or any(w.shape != shape for w in w_d + w_self)
+            or adj.n != len(zv) or gates.shape != (len(zv), k)):
+        raise DimensionError(f"gcn_mixture: adjacency n={adj.n}, z {zv.shape}, "
+                             f"gates {gates.shape}, w_d {[w.shape for w in w_d]}, "
+                             f"w_self {[w.shape for w in w_self]}")
+    n, h = len(zv), shape[0]
+    wd = np.concatenate([w.value for w in w_d])  # (K*H, H_in)
+    ws = np.concatenate([w.value for w in w_self])
+    msgs = zv @ wd.T
+    branches = (zv @ ws.T).reshape(n, k, h)
+    for j in range(k):
+        edge_touches.add(adj.nnz)
+        branches[:, j] += adj.csr @ msgs[:, j * h:(j + 1) * h]
+    out = Tensor(np.einsum("nk,nkh->nh", gates, branches), (z, e, *w_d, *w_self), "gcn_mixture")
+
+    def bwd(g):
+        _accum(e, np.einsum("nh,nkh->nk", g, branches))
+        gs = np.einsum("nh,nk->nkh", g, gates).reshape(n, k * h)
+        gd = adj.csr.T @ gs  # each column on its own: equal to K branch products
+        _accum(z, gd @ wd + gs @ ws)
+        gwd, gws = gd.T @ zv, gs.T @ zv
+        for j in range(k):
+            _accum(w_d[j], gwd[j * h:(j + 1) * h])
+            _accum(w_self[j], gws[j * h:(j + 1) * h])
+
+    out._backward = bwd
     return out
 
 

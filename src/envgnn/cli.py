@@ -186,17 +186,39 @@ def _flag_values(cls, args) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
+# gen-data's generator flags: (flag, generator config field, type); an absent
+# flag is None, so the config supplies the default
+GEN_FLAGS = [
+    ("--seed", "seed", int),
+    ("--spurious-dim", "spurious_dim", int),
+    ("--gcn-layers", "gcn_layers", int),
+    ("--n-per-domain", "n_per_domain", int),
+    ("--classes", "num_classes", int),
+    ("--stable-dim", "stable_dim", int),
+    ("--p-intra", "p_intra", float),
+    ("--p-inter", "p_inter", float),
+    ("--stable-strength", "stable_strength", float),
+    ("--spurious-strength", "spurious_strength", float),
+    ("--stable-noise", "stable_noise", float),
+    ("--spurious-noise", "spurious_noise", float),
+    ("--label-noise", "label_noise", float),
+]
+
+
 def cmd_gen_data(args) -> int:
     _check_out(args.out, args.force)
-    if args.kind == "citation-spurious":
-        if not args.base:
-            raise UsageError("--base is required for kind=citation-spurious")
-        base = load_graph(args.base)
-        cfg = SpuriousGenConfig(**_flag_values(SpuriousGenConfig, args))
-        ds = gen_spurious_dataset(base, cfg)
-    else:
-        cfg = PlantedConfig(**_flag_values(PlantedConfig, args))
-        ds = gen_planted_dataset(cfg)
+    planted = args.kind == "planted"
+    cls = PlantedConfig if planted else SpuriousGenConfig
+    fields = {f.name for f in dataclasses.fields(cls)}
+    ignored = (["--base"] if planted and args.base else []) + [
+        flag for flag, field, _ in GEN_FLAGS
+        if field not in fields and getattr(args, field) is not None]
+    if ignored:
+        raise UsageError(f"--kind {args.kind} does not use {', '.join(ignored)}")
+    if not planted and not args.base:
+        raise UsageError("--base is required for kind=citation-spurious")
+    cfg = cls(**_flag_values(cls, args))
+    ds = gen_planted_dataset(cfg) if planted else gen_spurious_dataset(load_graph(args.base), cfg)
     _prepare_out(args.out)
     save_dataset(args.out, ds)
     mhash = dataset_manifest_hash(args.out)
@@ -351,20 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--base", help="base graph directory (citation-spurious only)")
     g.add_argument("--out", required=True)
     g.add_argument("--force", action="store_true")
-    # generator flags: dest is the generator config field; absent is None
-    g.add_argument("--seed", type=int)
-    g.add_argument("--spurious-dim", dest="spurious_dim", type=int)
-    g.add_argument("--gcn-layers", dest="gcn_layers", type=int)
-    g.add_argument("--n-per-domain", dest="n_per_domain", type=int)
-    g.add_argument("--classes", dest="num_classes", type=int)
-    g.add_argument("--stable-dim", dest="stable_dim", type=int)
-    g.add_argument("--p-intra", dest="p_intra", type=float)
-    g.add_argument("--p-inter", dest="p_inter", type=float)
-    g.add_argument("--stable-strength", dest="stable_strength", type=float)
-    g.add_argument("--spurious-strength", dest="spurious_strength", type=float)
-    g.add_argument("--stable-noise", dest="stable_noise", type=float)
-    g.add_argument("--spurious-noise", dest="spurious_noise", type=float)
-    g.add_argument("--label-noise", dest="label_noise", type=float)
+    for flag, field, cast in GEN_FLAGS:
+        g.add_argument(flag, dest=field, type=cast)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model and write run.json + checkpoint")

@@ -5,7 +5,9 @@ maps current node embeddings to branch probabilities pi; ``gumbel_sample``,
 a temperature-controlled softmax over Gumbel-perturbed pi (or log pi), yields
 soft branch assignments that gate the branch outputs per node. ``_posterior``
 is the one place that picks the gate's inputs. Each branch is the backbone
-propagation (GCN or GAT, chosen only in ``_propagate``) plus a self term.
+propagation plus a self term. With the GCN backbone, a canet layer's K
+branches and their gate are one ``autodiff.gcn_mixture`` node; GAT branches
+and the erm layers of both backbones propagate through ``_propagate``.
 ``forward`` runs both methods in one loop: the plain baseline (erm) uses the
 same input/output projections and residual layers with one propagation per
 layer in place of the gated mixture. Every setting the pass reads comes from
@@ -204,12 +206,15 @@ def _propagate(z: Tensor, gt: GraphTensors, w_d: Tensor, w_a: Tensor | None,
 
 
 def moe_preact(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int) -> Tensor:
-    """Gated pre-activation: sum_k e_k (propagate_k(z) + z W_self,k^T)."""
+    """Gated pre-activation: sum_k e_k (propagate_k(z) + z W_self,k^T); one
+    ``gcn_mixture`` node for GCN, K ``_propagate`` branches and ``mix`` for GAT."""
+    prefixes = [f"l{layer}.k{j}." for j in range(1, params.cfg.num_branches + 1)]
+    if gt.adj is not None:
+        return ad.gcn_mixture(gt.adj, z, e, [params[p + "w_d"] for p in prefixes],
+                              [params[p + "w_self"] for p in prefixes])
     branches = []
-    for j in range(1, params.cfg.num_branches + 1):
-        p = f"l{layer}.k{j}."
-        prop = _propagate(z, gt, params[p + "w_d"], params.tensors.get(p + "w_a"),
-                          params.tensors.get(p + "b"))
+    for p in prefixes:
+        prop = _propagate(z, gt, params[p + "w_d"], params[p + "w_a"], params[p + "b"])
         branches.append(ad.add(prop, ad.matmul(z, ad.transpose(params[p + "w_self"]))))
     return ad.mix(e, branches)
 

@@ -250,7 +250,9 @@ def sweep(dataset: Dataset, grid: dict[str, list], seeds: list[int],
                 "final": res.final,
             })
         means[tuple(overrides.items())] = results[-1]["mean_valid"] = float(np.mean(valid_scores))
-    # pick by mean validation metric across seeds, deterministic tie-break
-    best_key = max(sorted(means), key=means.get)
+    # pick by mean validation metric across seeds; a tie goes to the first
+    # combination in value order, where null orders before any value
+    order = sorted(means, key=lambda combo: [(v is not None, v) for _, v in combo])
+    best_key = max(order, key=means.get)
     best_cfg = TrainConfig.from_dict({**base.to_dict(), **dict(best_key)})
     return best_cfg, results

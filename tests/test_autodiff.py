@@ -396,6 +396,88 @@ def test_spmm_counts_edge_touches():
 
 
 # ---------------------------------------------------------------------------
+# gated GCN mixture
+# ---------------------------------------------------------------------------
+
+
+def _directed_adj(n, rng, p=0.4):
+    """An adjacency whose structure and values are both asymmetric, so that a
+    backward that propagates with A where it needs A^T fails."""
+    rows, cols = np.nonzero(rng.uniform((n, n)) < p)
+    s = SparseAdj.from_coo(n, rows, cols, rng.normal(rows.shape))
+    assert np.abs(s.densify() - s.densify().T).max() > 0.1
+    return s
+
+
+def _mixture_operands(k, seed, n=7, h=3):
+    rng = Rng(seed)
+    theta = {"z": rng.normal((n, h)), "e": rng.uniform((n, k))}
+    for j in range(k):
+        theta[f"d{j}"] = rng.normal((h, h))
+        theta[f"s{j}"] = rng.normal((h, h))
+    return _directed_adj(n, rng), theta
+
+
+def _gcn_mixture(adj, p):
+    k = p["e"].shape[1]
+    return ad.gcn_mixture(adj, p["z"], p["e"], [p[f"d{j}"] for j in range(k)],
+                          [p[f"s{j}"] for j in range(k)])
+
+
+def _gcn_mixture_chain(adj, p):
+    """The per-branch chain the primitive replaces: K spmm/matmul/add
+    branches and one ``mix``."""
+    k = p["e"].shape[1]
+    branches = [ad.add(ad.spmm(adj, ad.matmul(p["z"], ad.transpose(p[f"d{j}"]))),
+                       ad.matmul(p["z"], ad.transpose(p[f"s{j}"]))) for j in range(k)]
+    return ad.mix(p["e"], branches)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_gcn_mixture_gradients(k):
+    adj, theta = _mixture_operands(k, 60 + k)
+    fd_check(lambda p: ad.sum_all(ad.mul(_gcn_mixture(adj, p), _gcn_mixture(adj, p))), theta)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_gcn_mixture_matches_per_branch_chain(k):
+    adj, theta = _mixture_operands(k, 70 + k, n=12, h=5)
+    g = constant(Rng(80 + k).normal((12, 5)))
+    values, grads = [], []
+    for build in (_gcn_mixture, _gcn_mixture_chain):
+        params = {name: parameter(v) for name, v in theta.items()}
+        out = build(adj, params)
+        values.append(out.value)
+        grads.append(ad.backward(ad.sum_all(ad.mul(out, g)), params))
+    assert np.abs(values[0] - values[1]).max() <= 1e-12
+    for name in theta:
+        assert np.abs(grads[0][name] - grads[1][name]).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("n_adj, gates, k_self", [
+    (6, (7, 2), 2),   # adjacency of another graph
+    (7, (7, 3), 2),   # one gate column per branch
+    (7, (6, 2), 2),   # one gate row per node
+    (7, (7, 2), 1),   # one self weight per message weight
+])
+def test_gcn_mixture_validates_shapes(n_adj, gates, k_self):
+    rng = Rng(64)
+    adj = SparseAdj.from_coo(n_adj, [0], [1], [1.0])
+    w = [constant(rng.normal((3, 3))) for _ in range(2)]
+    with pytest.raises(DimensionError):
+        ad.gcn_mixture(adj, constant(rng.normal((7, 3))), constant(np.ones(gates)),
+                       w, w[:k_self])
+
+
+def test_gcn_mixture_counts_edge_touches_per_branch():
+    adj, theta = _mixture_operands(3, 65)
+    ad.edge_touches.reset()
+    _gcn_mixture(adj, {name: constant(v) for name, v in theta.items()})
+    assert ad.edge_touches.count == 3 * adj.nnz
+    ad.edge_touches.reset()
+
+
+# ---------------------------------------------------------------------------
 # edge-level primitives
 # ---------------------------------------------------------------------------
 
@@ -619,6 +701,7 @@ PRIMITIVES = {
     "transpose": ad.transpose,
     "slice_rows": lambda x: ad.slice_rows(x, 0, 1),
     "spmm": lambda x: ad.spmm(_ADJ, x),
+    "gcn_mixture": lambda x: ad.gcn_mixture(_ADJ, x, x, [x, x], [x, x]),
     "relu": ad.relu,
     "leaky_relu": ad.leaky_relu,
     "row_softmax": ad.row_softmax,

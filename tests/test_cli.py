@@ -130,6 +130,19 @@ def test_gen_data_flags_fill_the_generator_config(tmp_path):
         assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
 
 
+@pytest.mark.parametrize("kind, extra, named", [
+    ("planted", ["--gcn-layers", "3"], "--gcn-layers"),
+    ("planted", ["--base", "somewhere"], "--base"),
+    ("citation-spurious", ["--base", "somewhere", "--n-per-domain", "20", "--p-intra", "0.1"],
+     "--n-per-domain, --p-intra"),
+])
+def test_gen_data_flag_of_the_other_kind_is_usage_error(tmp_path, capsys, kind, extra, named):
+    out = str(tmp_path / "x")
+    assert main(["gen-data", "--kind", kind, "--out", out, *extra]) == EXIT_USAGE
+    assert f"--kind {kind} does not use {named}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_gen_data_refuses_overwrite(tmp_path):
     d = str(tmp_path / "dup")
     args = ["gen-data", "--kind", "planted", "--out", d, "--seed", "0",
@@ -427,6 +440,21 @@ def test_sweep_bookkeeping(tmp_path, data_dir):
     payload = json.load(open(os.path.join(out, "sweep.json")))
     assert len(payload["results"]) == 4
     assert payload["best_config"]["lr"] in (0.01, 0.005)
+
+
+def test_sweep_grid_mixing_null_and_numbers(tmp_path, data_dir):
+    # erm has no estimator, so both lr_env values tie and null wins the tie
+    grid = str(tmp_path / "grid.json")
+    write_file(grid, json.dumps({"lr_env": [0.01, None]}))
+    base = str(tmp_path / "base.json")
+    write_file(base, json.dumps({"method": "erm", "epochs": 1, "hidden": 4}))
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--data", data_dir, "--grid", grid, "--config", base,
+                 "--out", out]) == EXIT_OK
+    payload = json.load(open(os.path.join(out, "sweep.json")))
+    assert [r["overrides"]["lr_env"] for r in payload["results"]] == [0.01, None]
+    assert payload["results"][0]["mean_valid"] == payload["results"][1]["mean_valid"]
+    assert payload["best_config"]["lr_env"] is None
 
 
 @pytest.mark.parametrize("flag, text, named", [

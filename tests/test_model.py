@@ -354,6 +354,20 @@ def test_forward_rejects_graph_prepared_for_other_backbone(method):
             forward(gt, make_params(cfg), Rng(0), Rng(0), training=False)
 
 
+@pytest.mark.parametrize("method, branches_per_layer", [("canet", 3), ("erm", 1)])
+def test_gcn_training_forward_counts_edge_touches(method, branches_per_layer):
+    # canet propagates once per branch, erm once per layer; the erm operand
+    # carries the self loops, so its stored entries include one per node
+    cfg = TrainConfig(method=method, num_layers=2, num_branches=3, hidden=4)
+    g = random_graph(seed=25)
+    gt = prepare_graph(g, cfg)
+    assert gt.adj.nnz == gt.stored_edges + (g.n if method == "erm" else 0)
+    ad.edge_touches.reset()
+    forward(gt, make_params(cfg), Rng(1), Rng(2), training=True)
+    assert ad.edge_touches.count == 2 * branches_per_layer * gt.adj.nnz
+    ad.edge_touches.reset()
+
+
 def test_baseline_gcn_hand_fixture():
     # identity features and identity weights on the 3-node path: each logit row
     # is the self-loop-normalized neighborhood sum plus the residual identity
