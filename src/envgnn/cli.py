@@ -394,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--branches", dest="num_branches", type=int)
     t.add_argument("--tau", type=float)
     t.add_argument("--reg-weight", dest="reg_weight", type=float)
-    for flag in ("no-reg-loss", "shared-env", "mean-pool-env",
-                 "log-prob-gumbel", "deterministic-eval", "exact-kl"):
+    for flag in ("shared-env", "mean-pool-env", "deterministic-eval", "exact-kl"):
         t.add_argument(f"--{flag}", dest=flag.replace("-", "_"), action="store_true",
                        default=None)
     t.set_defaults(func=cmd_train)

@@ -51,10 +51,8 @@ class TrainConfig:
     method: str = "canet"
     seed: int = 0
     # ablation and mode flags
-    no_reg_loss: bool = False
     shared_env: bool = False
     mean_pool_env: bool = False
-    log_prob_gumbel: bool = False
     deterministic_eval: bool = False
     exact_kl: bool = False  # use the closed-form regularizer instead of MC
     # adjacency handling: the MoE layers carry an explicit self term, so the

@@ -2,7 +2,7 @@
 
 The model keeps K parallel propagation branches per layer. A small estimator
 maps current node embeddings to branch probabilities pi; ``gumbel_sample``,
-a temperature-controlled softmax over Gumbel-perturbed pi (or log pi), yields
+the Gumbel-softmax softmax((log pi + g) / tau) with Gumbel noise g, yields
 soft branch assignments that gate the branch outputs per node. ``_posterior``
 is the one place that picks the gate's inputs. Each branch is the backbone
 propagation plus a self term. With the GCN backbone, a canet layer's K
@@ -154,14 +154,12 @@ def env_probs(z: Tensor, w_env: Tensor) -> tuple[Tensor, Tensor]:
     return ad.row_softmax(scores), ad.row_log_softmax(scores)
 
 
-def gumbel_sample(base: Tensor, tau: float, noise: np.ndarray) -> Tensor:
-    """Soft branch assignment softmax((base + noise) / tau).
-
-    ``base`` is pi itself or, under ``log_prob_gumbel``, log pi (the classical
-    trick, under which low-temperature argmax frequencies follow pi). The
-    noise is a tape constant.
+def gumbel_sample(log_pi: Tensor, tau: float, noise: np.ndarray) -> Tensor:
+    """Soft branch assignment softmax((log pi + noise) / tau), a relaxed draw
+    from pi: at low temperature its argmax frequencies follow pi. The noise is
+    a tape constant.
     """
-    return ad.row_softmax(ad.scale(ad.add(base, constant(noise)), 1.0 / tau))
+    return ad.row_softmax(ad.scale(ad.add(log_pi, constant(noise)), 1.0 / tau))
 
 
 @dataclass
@@ -231,8 +229,7 @@ def _posterior(z: Tensor, params: ParamSet, layer: int, gumbel_rng: Rng,
     pi, log_pi = env_probs(z, params.env_weight(layer))
     noise = (np.zeros(shape) if cfg.deterministic_eval and not training
              else gumbel_rng.gumbel(shape))
-    e = gumbel_sample(log_pi if cfg.log_prob_gumbel else pi, cfg.tau, noise)
-    return LayerPosterior(pi, log_pi, e)
+    return LayerPosterior(pi, log_pi, gumbel_sample(log_pi, cfg.tau, noise))
 
 
 def forward(gt: GraphTensors, params: ParamSet, gumbel_rng: Rng, dropout_rng: Rng,

@@ -73,8 +73,7 @@ def total_loss(output: ForwardOutput, labels, rows, cfg: TrainConfig
                ) -> tuple[Tensor, float, float]:
     """Supervised term plus weighted regularizer; returns term values too."""
     sup = ad.cross_entropy(output.logits, labels, rows)
-    if (output.posterior is None or cfg.no_reg_loss or cfg.reg_weight == 0.0
-            or cfg.mean_pool_env):
+    if output.posterior is None or cfg.reg_weight == 0.0 or cfg.mean_pool_env:
         return sup, float(sup.value), 0.0
     reg = regularizer(output.posterior, rows, cfg.num_branches, cfg.exact_kl)
     loss = ad.add(sup, ad.scale(reg, cfg.reg_weight))

@@ -1,7 +1,8 @@
 """Acceptance suite: ten end-to-end checks at frozen tolerances.
 
-Each check prints exactly one PASS/FAIL line (bypassing pytest capture) and
-then asserts, so the verdicts are visible in any run log.
+Each check records exactly one PASS/FAIL line and then asserts; the
+terminal summary (``tests/conftest.py``) prints every recorded line, so the
+verdicts are visible in any run log.
 """
 
 import json
@@ -32,21 +33,19 @@ from envgnn.shiftgen import PlantedConfig, gen_planted_dataset
 from envgnn.trainer import disjoint_union, kl_exact_rows, regularizer, train
 
 
-_reporter = None
+_node = None
 
 
 @pytest.fixture(autouse=True)
-def _grab_terminal_reporter(request):
-    global _reporter
-    _reporter = request.config.pluginmanager.get_plugin("terminalreporter")
+def _grab_node(request):
+    global _node
+    _node = request.node
 
 
 def report(num: int, passed: bool, detail: str):
     line = f"[ACCEPT-{num:02d}] {'PASS' if passed else 'FAIL'}: {detail}"
-    if _reporter is not None:
-        _reporter.write_line("\n" + line)
-    else:
-        print(line)
+    print(line)
+    _node.user_properties.append(("accept", line))
     assert passed, line
 
 
@@ -92,7 +91,7 @@ def test_accept_02_regularizer_properties():
     draw_rng = Rng(21).substream(STREAM_GUMBEL)
     vals = np.empty(10_000)
     for i in range(vals.size):
-        e = gumbel_sample(pi_t, 1.0, draw_rng.gumbel((rows, k)))
+        e = gumbel_sample(log_pi_t, 1.0, draw_rng.gumbel((rows, k)))
         post = [LayerPosterior(pi_t, log_pi_t, e)]
         vals[i] = float(regularizer(post, idx, k, exact=False).value)
     mean = float(vals.mean())
@@ -103,7 +102,7 @@ def test_accept_02_regularizer_properties():
     zeros = constant(np.zeros((50, 3)))
     u_pi = ad.row_softmax(zeros)
     u_log = ad.row_log_softmax(zeros)
-    e = gumbel_sample(u_pi, 1.0, Rng(22).substream(STREAM_GUMBEL).gumbel((50, 3)))
+    e = gumbel_sample(u_log, 1.0, Rng(22).substream(STREAM_GUMBEL).gumbel((50, 3)))
     post = [LayerPosterior(u_pi, u_log, e)]
     mc_fix = abs(float(regularizer(post, np.arange(50), 3, exact=False).value))
     ex_fix = abs(float(regularizer(post, np.arange(50), 3, exact=True).value))
@@ -290,7 +289,7 @@ def planted_battery():
     arms = {
         "canet": dict(base, method="canet", exact_kl=True, reg_weight=1.0),
         "erm": dict(base, method="erm"),
-        "no_reg": dict(base, method="canet", no_reg_loss=True),
+        "no_reg": dict(base, method="canet", reg_weight=0.0),
     }
     t0 = time.perf_counter()
     stats = {}

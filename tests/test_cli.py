@@ -356,6 +356,22 @@ def test_package_exports_are_exactly_its_imports():
         assert getattr(envgnn, name) is not None, name
 
 
+@pytest.mark.parametrize("field", ["colour", "log_prob_gumbel", "no_reg_loss"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_unknown_config_field_is_usage_error(tmp_path, data_dir, capsys, command, field):
+    # a --config file or a sweep grid naming a field TrainConfig does not
+    # have (the retired ones included) is refused before any training
+    path = str(tmp_path / "in.json")
+    with open(path, "w") as fh:
+        json.dump({field: True} if command == "train" else {field: [True]}, fh)
+    flag = "--config" if command == "train" else "--grid"
+    rc = main([command, "--data", data_dir, flag, path, "--out", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"unknown config fields: ['{field}']" in err
+    assert "Traceback" not in err
+
+
 def test_train_config_admits_int_for_float_and_null_for_optional():
     from envgnn.config import TrainConfig
 
@@ -713,6 +729,10 @@ def _edit_checkpoint(src, dst, edit):
                  id="wrong-shape"),
     pytest.param(lambda p: p["config"].__setitem__("colour", "red"), "colour",
                  id="unknown-config-field"),
+    # retired fields: a checkpoint trained under them would evaluate differently
+    *[pytest.param(lambda p, f=field: p["config"].__setitem__(f, True), field,
+                   id=f"unknown-config-field-{field}")
+      for field in ("log_prob_gumbel", "no_reg_loss")],
     pytest.param(lambda p: p["config"].__setitem__("hidden", "x"), "hidden must be int",
                  id="config-field-str"),
     pytest.param(lambda p: p["config"].__setitem__("hidden", 2.5), "hidden must be int",

@@ -26,8 +26,7 @@ from envgnn.config import BACKBONES, METHODS, TrainConfig
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 REASONS = ("usage error: ", "invalid input: ", "numerical abort: ", "numerical failure: ")
-FLAGS = ("no_reg_loss", "shared_env", "mean_pool_env", "log_prob_gumbel",
-         "deterministic_eval", "exact_kl")
+FLAGS = ("shared_env", "mean_pool_env", "deterministic_eval", "exact_kl")
 
 GOOD = {
     "num_layers": st.integers(1, 2),

@@ -64,10 +64,10 @@ def test_env_probs_branch_permutation_equivariance():
 
 
 def test_gumbel_sample_noiseless_literal():
-    pi, _ = env_probs(constant(Rng(3).normal((4, 2))), constant(Rng(4).normal((3, 2))))
-    e = gumbel_sample(pi, 1.0, np.zeros((4, 3)))
-    expect = np.exp(pi.value) / np.exp(pi.value).sum(axis=1, keepdims=True)
-    assert np.abs(e.value - expect).max() <= 1e-14
+    # without noise, at tau 1, the softmax of log pi gives back pi
+    pi, log_pi = env_probs(constant(Rng(3).normal((4, 2))), constant(Rng(4).normal((3, 2))))
+    e = gumbel_sample(log_pi, 1.0, np.zeros((4, 3)))
+    assert np.abs(e.value - pi.value).max() <= 1e-14
 
 
 def test_gumbel_sample_high_temperature_uniform():
@@ -332,9 +332,8 @@ def test_deterministic_eval_flag_zeroes_noise():
     params = make_params(cfg)
     out = eval_logits(g, cfg, params, seed=0)
     for lp in out.posterior:
-        # without noise the gate is the tempered softmax of pi itself
-        expect = np.exp(lp.pi.value) / np.exp(lp.pi.value).sum(axis=1, keepdims=True)
-        assert np.abs(lp.e.value - expect).max() <= 1e-12
+        # without noise, at tau 1, the gate is softmax(log pi) = pi
+        assert np.abs(lp.e.value - lp.pi.value).max() <= 1e-12
 
 
 def test_feature_dim_mismatch_raises():

@@ -7,7 +7,7 @@ from envgnn import autodiff as ad
 from envgnn.autodiff import constant
 from envgnn.config import TrainConfig
 from envgnn.graphdata import Graph
-from envgnn.model import LayerPosterior, forward, init_params, prepare_graph
+from envgnn.model import LayerPosterior, _posterior, forward, init_params, prepare_graph
 from envgnn.rng import Rng, STREAM_DROPOUT, STREAM_GUMBEL, STREAM_INIT
 from envgnn.shiftgen import PlantedConfig, gen_planted_dataset
 from envgnn.trainer import (
@@ -79,6 +79,24 @@ def test_mc_term_mean_tracks_exact_kl():
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert se < max(0.01 * abs(vals.mean()), 1e-3)
+
+
+def test_mc_term_under_the_model_gate_is_nonnegative_on_average():
+    # the gate as the model draws it in training, at a fixed non-uniform
+    # estimator: a relaxed draw from pi keeps the MC term's mean near the
+    # KL it estimates, so >= 0; a gate that does not follow pi puts weight
+    # on branches of small pi and drives the mean below 0
+    cfg = TrainConfig()
+    params = init_params(cfg, 4, 3, Rng(73).substream(STREAM_INIT))
+    z = constant(Rng(74).normal((100, cfg.hidden)))
+    rows = np.arange(100)
+    gumbel_rng = Rng(75).substream(STREAM_GUMBEL)
+    vals = np.array([float(regularizer([_posterior(z, params, 1, gumbel_rng, training=True)],
+                                       rows, cfg.num_branches, exact=False).value)
+                     for _ in range(2000)])
+    exact = kl_exact_rows(_posterior(z, params, 1, gumbel_rng, training=True).pi.value)
+    assert exact.mean() >= 0.05  # the fixture is far from uniform
+    assert vals.mean() >= 0.0
 
 
 def test_kl_exact_uniform_is_zero():
@@ -209,6 +227,17 @@ def test_training_deterministic():
     assert a.selected_epoch == b.selected_epoch
     for k, t in a.params.tensors.items():
         assert np.array_equal(t.value, b.params[k].value)
+
+
+def test_default_canet_run_keeps_mc_regularizer_above_minus_log_k():
+    # default flags train on the MC term; when the gate does not follow pi,
+    # minimizing the term drives pi to 0 on the branches the gate picks and
+    # the term falls without bound
+    ds = gen_planted_dataset(PlantedConfig(n_per_domain=200, seed=3))
+    for seed in (0, 1):
+        cfg = TrainConfig(epochs=40, hidden=16, seed=seed)
+        lowest = min(rec["regularizer"] for rec in train(ds, cfg).history)
+        assert lowest >= -np.log(cfg.num_branches), (seed, lowest)
 
 
 def test_erm_history_has_zero_regularizer():
