@@ -1,27 +1,27 @@
 """Reverse-mode differentiation over a fixed set of dense/sparse primitives.
 
 This is not a general autodiff system: it supports exactly the operations the
-models in this package need (dense matmul, CSR propagation, activations,
-softmax, dropout, cross-entropy, the branch gate, the gated GCN branch mixture
-``gcn_mixture``, edge gather/softmax/scatter for attention, and a few
-reductions). Every primitive records its inputs and a backward closure on the
-implicit tape formed by the ``Tensor`` graph; ``backward`` replays it in
-reverse topological order, visiting each node once.
+models in this package need: dense matmul, CSR propagation (``spmm``),
+activations, softmax, dropout, cross-entropy, a few reductions, and one gated
+mixture layer per backbone, ``gcn_mixture`` and ``gat_mixture``. Every
+primitive records its inputs and a backward closure on the implicit tape
+formed by the ``Tensor`` graph; ``backward`` replays it in reverse
+topological order, visiting each node once.
 
 All values are 64-bit floats. Every primitive checks its output for NaN/Inf
 and raises ``NumericError`` instead of letting non-finite values propagate.
 Stochastic draws (dropout masks, any noise supplied by the caller) are
 captured at forward time and treated as constants by the backward pass.
 
-The edge primitives scatter without ``np.add.at``. ``edge_combine`` takes a
-``sparse.EdgeIndex`` built once per graph: its forward is the CSR product
-``A_dst(w) @ msgs`` over the target-ordered layout, and its ``msgs``
-gradient is ``A_src(w) @ g`` over the source-ordered one. ``edge_softmax``
-shifts scores by ``EdgeIndex.segment_max``; its denominators and the backward
-of ``gather_rows`` are one ``np.bincount`` per column. Both orders are stable
-sorts of the edge list and ``bincount`` adds in index order, so every per-node
-sum adds the same terms in the same order as an ``np.add.at`` scatter over the
-edge list, and results are bitwise equal to it.
+``gat_mixture`` scatters without ``np.add.at``. It takes a
+``sparse.EdgeIndex`` built once per graph: its attention-weighted sums are
+CSR products ``A_dst(w) @ msgs`` over the target-ordered layout, and their
+``msgs`` gradients ``A_src(w) @ g`` over the source-ordered one. Its edge
+softmax shifts scores by ``EdgeIndex.segment_max``; its denominators and the
+per-node sums of score gradients are one ``np.bincount`` per column. Both
+orders are stable sorts of the edge list and ``bincount`` adds in index order,
+so every per-node sum adds the same terms in the same order as an
+``np.add.at`` scatter over the edge list, and results are bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -189,32 +189,6 @@ def scale(a, c: float) -> Tensor:
     return out
 
 
-def mix(e, branches) -> Tensor:
-    """Per-node gated sum ``sum_k e[:, k:k+1] * branches[k]`` of K (N, H)
-    branch outputs under (N, K) gates, adding the terms left to right."""
-    e = _lift(e)
-    branches = [_lift(b) for b in branches]
-    gates, vals = e.value, [b.value for b in branches]
-    if (not vals or vals[0].ndim != 2 or gates.shape != (vals[0].shape[0], len(vals))
-            or any(v.shape != vals[0].shape for v in vals)):
-        raise DimensionError(f"mix: gates {gates.shape}, branches {[v.shape for v in vals]}")
-    total = gates[:, 0:1] * vals[0]
-    for k in range(1, len(vals)):
-        total = total + gates[:, k : k + 1] * vals[k]
-    out = Tensor(total, (e, *branches), "mix")
-
-    def bwd(g):
-        ge = np.empty(gates.shape)
-        for k, v in enumerate(vals):
-            ge[:, k] = (g * v).sum(axis=1)
-        _accum(e, ge)
-        for k, b in enumerate(branches):
-            _accum(b, g * gates[:, k : k + 1])
-
-    out._backward = bwd
-    return out
-
-
 def matmul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
@@ -240,20 +214,6 @@ def transpose(a) -> Tensor:
     return out
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    """Contiguous row slice a[start:stop]."""
-    a = _lift(a)
-    out = Tensor(a.value[start:stop], (a,), "slice_rows")
-
-    def bwd(g):
-        buf = np.zeros(a.shape)
-        buf[start:stop] = g
-        _accum(a, buf)
-
-    out._backward = bwd
-    return out
-
-
 def spmm(s: SparseAdj, m) -> Tensor:
     """Sparse-adjacency times dense matrix; counts stored-edge touches."""
     m = _lift(m)
@@ -267,63 +227,11 @@ def spmm(s: SparseAdj, m) -> Tensor:
     return out
 
 
-def gcn_mixture(adj: SparseAdj, z, e, w_d, w_self) -> Tensor:
-    """Gated GCN mixture ``sum_k e[:, k:k+1] * (A z W_d,k^T + z W_self,k^T)``
-    of K branches under (N, K) gates, as one node.
-
-    The K message and K self transforms are one matmul each over the stacked
-    weights; propagation stays one CSR product per branch, so one call counts
-    K * nnz edge touches.
-    """
-    z, e = _lift(z), _lift(e)
-    w_d, w_self = [_lift(w) for w in w_d], [_lift(w) for w in w_self]
-    zv, gates, k = z.value, e.value, len(w_d)
-    shape = w_d[0].shape if w_d else ()
-    if (zv.ndim != 2 or len(shape) != 2 or shape[1] != zv.shape[1] or len(w_self) != k
-            or any(w.shape != shape for w in w_d + w_self)
-            or adj.n != len(zv) or gates.shape != (len(zv), k)):
-        raise DimensionError(f"gcn_mixture: adjacency n={adj.n}, z {zv.shape}, "
-                             f"gates {gates.shape}, w_d {[w.shape for w in w_d]}, "
-                             f"w_self {[w.shape for w in w_self]}")
-    n, h = len(zv), shape[0]
-    wd = np.concatenate([w.value for w in w_d])  # (K*H, H_in)
-    ws = np.concatenate([w.value for w in w_self])
-    msgs = zv @ wd.T
-    branches = (zv @ ws.T).reshape(n, k, h)
-    for j in range(k):
-        edge_touches.add(adj.nnz)
-        branches[:, j] += adj.csr @ msgs[:, j * h:(j + 1) * h]
-    out = Tensor(np.einsum("nk,nkh->nh", gates, branches), (z, e, *w_d, *w_self), "gcn_mixture")
-
-    def bwd(g):
-        _accum(e, np.einsum("nh,nkh->nk", g, branches))
-        gs = np.einsum("nh,nk->nkh", g, gates).reshape(n, k * h)
-        gd = adj.csr.T @ gs  # each column on its own: equal to K branch products
-        _accum(z, gd @ wd + gs @ ws)
-        gwd, gws = gd.T @ zv, gs.T @ zv
-        for j in range(k):
-            _accum(w_d[j], gwd[j * h:(j + 1) * h])
-            _accum(w_self[j], gws[j * h:(j + 1) * h])
-
-    out._backward = bwd
-    return out
-
-
 def relu(a) -> Tensor:
     a = _lift(a)
     pos = a.value > 0
     out = Tensor(np.where(pos, a.value, 0.0), (a,), "relu")
     out._backward = lambda g: _accum(a, g * pos)
-    return out
-
-
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
-    if not 0.0 <= slope < 1.0:
-        raise ValueError("leaky_relu slope must lie in [0, 1)")
-    a = _lift(a)
-    pos = a.value > 0
-    out = Tensor(np.where(pos, a.value, slope * a.value), (a,), "leaky_relu")
-    out._backward = lambda g: _accum(a, g * np.where(pos, 1.0, slope))
     return out
 
 
@@ -427,8 +335,87 @@ def cross_entropy(logits, labels, mask) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# edge-level primitives (attention propagation)
+# gated mixture layers
 # ---------------------------------------------------------------------------
+
+
+def _mixture_operands(op: str, n: int, z, e, w_d, w_self):
+    """The lifted operands of a gated mixture on an ``n``-node graph, checked:
+    (N, H_in) inputs, (N, K) gates, K message weights of one (H, H_in) shape,
+    and K self weights of that shape or none."""
+    z, e = _lift(z), _lift(e)
+    w_d, w_self = [_lift(w) for w in w_d], [_lift(w) for w in w_self]
+    shape = w_d[0].shape if w_d else ()
+    if (z.value.ndim != 2 or len(shape) != 2 or shape[1] != z.shape[1]
+            or len(w_self) not in (0, len(w_d)) or any(w.shape != shape for w in w_d + w_self)
+            or n != len(z.value) or e.shape != (n, len(w_d))):
+        raise DimensionError(f"{op}: graph n={n}, z {z.shape}, gates {e.shape}, "
+                             f"w_d {[w.shape for w in w_d]}, w_self {[w.shape for w in w_self]}")
+    return z, e, w_d, w_self
+
+
+def _stack(ws: list[Tensor]) -> np.ndarray | None:
+    """K (H, H_in) weights as one (K*H, H_in) matrix, branch j in row block j;
+    None for no weights."""
+    return np.concatenate([w.value for w in ws]) if ws else None
+
+
+def _gate(e: Tensor, branches: np.ndarray):
+    """The sum of (N, K, H) branches under the (N, K) gates of ``e``, and the
+    map from its gradient to the branches' (N, K, H) gradient, which also
+    accumulates the gates' own. Under a constant (N, 1) gate of ones (erm's
+    layers pass one) the sum is the one branch."""
+    gates = e.value
+    if not e.needs_grad and gates.shape[1] == 1 and (gates == 1.0).all():
+        return branches[:, 0], lambda g: g[:, None]
+
+    def branch_grad(g):
+        if e.needs_grad:
+            _accum(e, np.einsum("nh,nkh->nk", g, branches))
+        return np.einsum("nh,nk->nkh", g, gates)
+
+    return np.einsum("nk,nkh->nh", gates, branches), branch_grad
+
+
+def _accum_blocks(ws: list[Tensor], g: np.ndarray):
+    """Accumulate row block j of a stacked weight gradient into ``ws[j]``."""
+    for j, w in enumerate(ws):
+        h = w.shape[0]
+        _accum(w, g[j * h:(j + 1) * h])
+
+
+def gcn_mixture(adj: SparseAdj, z, e, w_d, w_self) -> Tensor:
+    """Gated GCN mixture ``sum_k e[:, k:k+1] * (A z W_d,k^T + z W_self,k^T)``
+    of K branches under (N, K) gates, as one node; an empty ``w_self`` drops
+    the self term.
+
+    The K message and K self transforms are one matmul each over the stacked
+    weights; propagation stays one CSR product per branch, so one call counts
+    K * nnz edge touches.
+    """
+    z, e, w_d, w_self = _mixture_operands("gcn_mixture", adj.n, z, e, w_d, w_self)
+    zv, (n, k), h = z.value, e.shape, w_d[0].shape[0]
+    wd, ws = _stack(w_d), _stack(w_self)
+    msgs = zv @ wd.T
+    branches = np.zeros((n, k, h)) if ws is None else (zv @ ws.T).reshape(n, k, h)
+    for j in range(k):
+        edge_touches.add(adj.nnz)
+        branches[:, j] += adj.csr @ msgs[:, j * h:(j + 1) * h]
+    mixed, branch_grad = _gate(e, branches)
+    out = Tensor(mixed, (z, e, *w_d, *w_self), "gcn_mixture")
+
+    def bwd(g):
+        gs = branch_grad(g).reshape(n, k * h)
+        gd = adj.csr.T @ gs  # each column on its own: equal to K branch products
+        gz = gd @ wd
+        if w_self:
+            gz = gz + gs @ ws
+            _accum_blocks(w_self, gs.T @ zv)
+        _accum(z, gz)
+        _accum_blocks(w_d, gd.T @ zv)
+
+    out._backward = bwd
+    return out
 
 
 def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -441,51 +428,82 @@ def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return out.reshape((n,) + vals.shape[1:])
 
 
-def gather_rows(a, idx) -> Tensor:
-    a = _lift(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(a.value[idx], (a,), "gather_rows")
-    out._backward = lambda g: _accum(a, _scatter_rows(idx, g, a.shape[0]))
-    return out
-
-
-def edge_softmax(scores, edges: EdgeIndex) -> Tensor:
-    """Softmax of (E, 1) edge scores over each target's incoming edges, as an
-    (E,) tensor; scores are shifted by their target's maximum first."""
-    scores = _lift(scores)
-    if scores.value.shape != (edges.num_edges, 1):
-        raise DimensionError(f"edge_softmax: {edges.num_edges} edges, scores {scores.shape}")
+def _attention_softmax(edges: EdgeIndex, s: np.ndarray):
+    """Softmax of (E, K) edge scores over each target's incoming edges, column
+    by column, and its vector-Jacobian product. Scores are shifted by their
+    target's maximum first. Per-target rows are gathered with ``np.take``,
+    several times faster than fancy indexing on (E, K) rows."""
     dst, n = edges.dst, edges.n
-    s = scores.value[:, 0]
-    ex = np.exp(s - edges.segment_max(s)[dst])
-    d = _scatter_rows(dst, ex, n)[dst]  # >= 1: each target's max term is exp(0)
-    out = Tensor(ex / d, (scores,), "edge_softmax")
+
+    def at_targets(per_node):  # (N, K) -> (E, K), row dst[i] for edge i
+        return np.take(per_node, dst, axis=0)
+
+    ex = np.exp(s - at_targets(edges.segment_max(s)))
+    d = at_targets(_scatter_rows(dst, ex, n))  # >= 1: each target's max term is exp(0)
+    return ex / d, lambda g: (g / d + at_targets(_scatter_rows(dst, -g * ex / (d * d), n))) * ex
+
+
+def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
+    """Gated GAT mixture ``sum_k e[:, k:k+1] * (A_k z W_d,k^T + z W_self,k^T)``
+    of K branches under (N, K) gates, as one node; an empty ``w_self`` drops
+    the self term.
+
+    ``A_k`` is branch k's attention over ``edges``: edge u -> v weighs the
+    softmax, over v's incoming edges, of the leaky ReLU (slope 0.2) of
+    ``alpha_k[v] + beta_k[u]``, where ``alpha_k`` and ``beta_k`` are
+    ``z W_a,k^T`` times the first and second half of the (2H, 1) vector
+    ``b_k``. The K message, self and attention transforms are one matmul each
+    over the stacked weights and the scores of all branches one (E, K) array;
+    each branch is one weighted CSR product, so one call counts K touches of
+    every edge between distinct nodes. ``w_a`` may hold the tensors of
+    ``w_d``: their gradients add up.
+    """
+    z, e, w_d, w_self = _mixture_operands("gat_mixture", edges.n, z, e, w_d, w_self)
+    w_a, b = [_lift(w) for w in w_a], [_lift(v) for v in b]
+    zv, (n, k), h = z.value, e.shape, w_d[0].shape[0]
+    if (len(w_a) != k or len(b) != k or any(w.shape != w_d[0].shape for w in w_a)
+            or any(v.shape != (2 * h, 1) for v in b)):
+        raise DimensionError(f"gat_mixture: w_d {[w.shape for w in w_d]}, "
+                             f"w_a {[w.shape for w in w_a]}, b {[v.shape for v in b]}")
+    src, dst = edges.src, edges.dst
+    wd, wa = _stack(w_d), _stack(w_a)
+    halves = np.stack([v.value.reshape(2, h) for v in b])  # (K, 2, H): b_k[:H], b_k[H:]
+    t = (zv @ wa.T).reshape(n, k, h).transpose(1, 0, 2)  # (K, N, H)
+    alpha, beta = np.matmul(t, halves.transpose(0, 2, 1)).transpose(2, 1, 0).copy()
+    raw = np.take(alpha, dst, axis=0) + np.take(beta, src, axis=0)  # (E, K)
+    slope = np.where(raw > 0, 1.0, 0.2)
+    att, softmax_vjp = _attention_softmax(edges, raw * slope)
+    msgs, ws = zv @ wd.T, _stack(w_self)
+    branches = np.zeros((n, k, h)) if ws is None else (zv @ ws.T).reshape(n, k, h)
+    for j in range(k):
+        branches[:, j] += edges.scatter_to_dst(att[:, j], msgs[:, j * h:(j + 1) * h])
+    edge_touches.add(k * edges.num_links)
+    mixed, branch_grad = _gate(e, branches)
+    out = Tensor(mixed, (z, e, *w_d, *w_self, *w_a, *b), "gat_mixture")
 
     # capture arrays, not ``out``: a closure on its own node is a reference
     # cycle that keeps the whole tape alive until the cyclic collector runs
     def bwd(g):
-        gx = g / d + _scatter_rows(dst, -g * ex / (d * d), n)[dst]
-        _accum(scores, (gx * ex)[:, None])
+        gs = branch_grad(g)
+        gm = np.empty((n, k * h))
+        for j in range(k):
+            gm[:, j * h:(j + 1) * h] = edges.scatter_to_src(att[:, j], gs[:, j])
+        # d/d att[i, j] = <gs_j[dst_i], msgs_j[src_i]> = <(gs_j W_d,j)[dst_i], z[src_i]>
+        gz_d = np.matmul(gs.transpose(1, 0, 2), wd.reshape(k, h, -1))  # (K, N, H_in)
+        gatt = np.einsum("kei,ei->ek", np.take(gz_d, dst, axis=1), np.take(zv, src, axis=0))
+        gscore = softmax_vjp(gatt) * slope
+        gab = np.stack([_scatter_rows(dst, gscore, n), _scatter_rows(src, gscore, n)], axis=-1)
+        gt = np.matmul(gab.transpose(1, 0, 2), halves).transpose(1, 0, 2).reshape(n, k * h)
+        gz = gm @ wd + gt @ wa
+        if w_self:
+            gs = gs.reshape(n, k * h)
+            gz = gz + gs @ ws
+            _accum_blocks(w_self, gs.T @ zv)
+        _accum(z, gz)
+        _accum_blocks(w_d, gm.T @ zv)
+        _accum_blocks(w_a, gt.T @ zv)
+        for j, ghalves in enumerate(np.matmul(gab.transpose(1, 2, 0), t)):  # (K, 2, H)
+            _accum(b[j], ghalves.reshape(2 * h, 1))
 
     out._backward = bwd
     return out
-
-
-def edge_combine(w, msgs, edges: EdgeIndex) -> Tensor:
-    """out[dst[e]] += w[e] * msgs[src[e]]; both ``w`` and ``msgs`` differentiable."""
-    w, msgs = _lift(w), _lift(msgs)
-    if w.value.ndim != 1 or w.value.shape[0] != edges.num_edges:
-        raise DimensionError("edge_combine: weight/edge count mismatch")
-    if msgs.value.ndim != 2 or msgs.value.shape[0] != edges.n:
-        raise DimensionError(
-            f"edge_combine: {edges.n} nodes, message rows {msgs.value.shape[:1]}"
-        )
-    out = Tensor(edges.scatter_to_dst(w.value, msgs.value), (w, msgs), "edge_combine")
-
-    def bwd(g):
-        _accum(w, (g[edges.dst] * msgs.value[edges.src]).sum(axis=1))
-        _accum(msgs, edges.scatter_to_src(w.value, g))
-
-    out._backward = bwd
-    return out
-

@@ -1,8 +1,8 @@
 """Command-line entry point for data generation, training, evaluation,
 gradient checking, sweeps, and branch-weight export.
 
-Exit codes: 0 success, 2 usage, 3 I/O failure, 4 numerical abort,
-5 checkpoint/dataset incompatibility.
+Exit codes: 0 success, 1 a gradient check failed (gradcheck only), 2 usage,
+3 I/O failure, 4 numerical abort, 5 checkpoint/dataset incompatibility.
 
 Machine-readable progress goes to stdout as line-delimited JSON; the human
 summary goes to stderr. All randomness flows from --seed (default 0, never
@@ -236,15 +236,19 @@ def _load_json_object(path: str, flag: str) -> dict:
         raise UsageError(f"{flag} {exc}") from None
 
 
+# the TrainConfig fields only the mixture model (canet) reads
+CANET_ONLY = ("num_branches", "tau", "reg_weight", "lr_env", "shared_env", "mean_pool_env",
+              "deterministic_eval", "exact_kl")
+
+
 def _load_train_config(args) -> TrainConfig:
     base = _load_json_object(args.config, "--config") if args.config else {}
     # only flags given on the command line override the file
     merged = {**base, **_flag_values(TrainConfig, args)}
     cfg = TrainConfig.from_dict(merged)
-    if cfg.method == "erm" and any(
-        k in merged for k in ("num_branches", "tau", "reg_weight")
-    ):
-        _say("warning: --method erm ignores K/tau/reg-weight settings")
+    ignored = [k for k in CANET_ONLY if k in merged]
+    if cfg.method == "erm" and ignored:
+        _say(f"warning: --method erm ignores the canet-only settings {', '.join(ignored)}")
     return cfg
 
 

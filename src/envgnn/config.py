@@ -55,10 +55,6 @@ class TrainConfig:
     mean_pool_env: bool = False
     deterministic_eval: bool = False
     exact_kl: bool = False  # use the closed-form regularizer instead of MC
-    # adjacency handling: the MoE layers carry an explicit self term, so the
-    # propagation operand defaults to no self loops; the plain backbone uses
-    # the standard self-loop normalization
-    self_loops: bool | None = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -84,12 +80,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    @property
-    def use_self_loops(self) -> bool:
-        if self.self_loops is not None:
-            return self.self_loops
-        return self.method == "erm"
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -5,13 +5,13 @@ maps current node embeddings to branch probabilities pi; ``gumbel_sample``,
 the Gumbel-softmax softmax((log pi + g) / tau) with Gumbel noise g, yields
 soft branch assignments that gate the branch outputs per node. ``_posterior``
 is the one place that picks the gate's inputs. Each branch is the backbone
-propagation plus a self term. With the GCN backbone, a canet layer's K
-branches and their gate are one ``autodiff.gcn_mixture`` node; GAT branches
-and the erm layers of both backbones propagate through ``_propagate``.
-``forward`` runs both methods in one loop: the plain baseline (erm) uses the
-same input/output projections and residual layers with one propagation per
-layer in place of the gated mixture. Every setting the pass reads comes from
-``ParamSet.cfg``, the configuration the parameters were initialized for.
+propagation plus a self term. A layer's K branches and their gate are one
+tape node, ``autodiff.gcn_mixture`` or ``autodiff.gat_mixture``, built by
+``moe_preact``, the one layer call of ``forward`` for both methods. The
+plain baseline (erm) is the one-branch case: the same input/output
+projections and residual layers, one branch without a self term under a
+unit gate. Every setting the pass reads comes from ``ParamSet.cfg``, the
+configuration the parameters were initialized for.
 
 Naming note: the estimator matrix is called ``w_env`` and the per-branch
 self-transform ``w_self`` to keep the two roles apart.
@@ -40,8 +40,8 @@ class GraphTensors:
 
     GCN propagates through ``adj``, a normalized CSR adjacency. GAT attends
     over ``edges``: every stored edge in both directions plus one self loop
-    per node, with stable target- and source-ordered CSR row layouts. The
-    attention primitives reuse that layout every step, as weighted CSR
+    per node, with stable target- and source-ordered CSR row layouts.
+    ``gat_mixture`` reuses that layout every step, as weighted CSR
     products and ``reduceat`` segment maxima; the stable orders make each
     per-node sum add its terms in edge order, exactly as an ``np.add.at``
     scatter over the edge list would.
@@ -49,7 +49,7 @@ class GraphTensors:
 
     n: int
     features: Tensor
-    adj: SparseAdj | None  # GCN only; normalization per config (self loops on/off)
+    adj: SparseAdj | None  # GCN only; self loops for erm, none for canet
     edges: EdgeIndex | None  # GAT only; directed incidences incl. self loops
     stored_edges: int  # symmetric stored entries, self loops excluded
 
@@ -57,7 +57,7 @@ class GraphTensors:
 def prepare_graph(g: Graph, cfg: TrainConfig) -> GraphTensors:
     adj = edges = None
     if cfg.backbone == "gcn":
-        adj = build_norm_adj(g, add_self_loops=cfg.use_self_loops)
+        adj = build_norm_adj(g, add_self_loops=cfg.method == "erm")
     else:
         e, loops = g.edges, np.arange(g.n)
         edges = EdgeIndex.from_coo(g.n, np.concatenate([e[:, 1], e[:, 0], loops]),
@@ -180,41 +180,21 @@ class ForwardOutput:
 # ---------------------------------------------------------------------------
 
 
-def _branch_attention(z: Tensor, gt: GraphTensors, w_a: Tensor, b: Tensor,
-                      slope: float = 0.2) -> Tensor:
-    """Per-edge attention over the neighborhood plus self, as an (E,) tensor."""
-    h = w_a.value.shape[0]
-    t = ad.matmul(z, ad.transpose(w_a))
-    alpha = ad.matmul(t, ad.slice_rows(b, 0, h))        # score share of the center
-    beta = ad.matmul(t, ad.slice_rows(b, h, 2 * h))     # score share of the neighbor
-    scores = ad.add(ad.gather_rows(alpha, gt.edges.dst), ad.gather_rows(beta, gt.edges.src))
-    return ad.edge_softmax(ad.leaky_relu(scores, slope), gt.edges)
-
-
-def _propagate(z: Tensor, gt: GraphTensors, w_d: Tensor, w_a: Tensor | None,
-               b: Tensor | None) -> Tensor:
-    """Backbone propagation of the messages z W_d^T, chosen by the operand
-    ``gt`` carries: GCN's normalized sum over ``adj``, or GAT's sum over
-    ``edges`` weighted by attention scored from z W_a^T and b."""
-    if gt.adj is not None:
-        return ad.spmm(gt.adj, ad.matmul(z, ad.transpose(w_d)))
-    att = _branch_attention(z, gt, w_a, b)
-    ad.edge_touches.add(gt.stored_edges)
-    return ad.edge_combine(att, ad.matmul(z, ad.transpose(w_d)), gt.edges)
-
-
 def moe_preact(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int) -> Tensor:
-    """Gated pre-activation: sum_k e_k (propagate_k(z) + z W_self,k^T); one
-    ``gcn_mixture`` node for GCN, K ``_propagate`` branches and ``mix`` for GAT."""
-    prefixes = [f"l{layer}.k{j}." for j in range(1, params.cfg.num_branches + 1)]
+    """Gated pre-activation sum_k e_k (propagate_k(z) + z W_self,k^T) as one
+    ``gcn_mixture`` or ``gat_mixture`` node. erm is the one-branch case: its
+    one weight ``l{layer}.w`` is the message weight and, for GAT, also the
+    attention weight, and it has no self term; its gate is all ones."""
+    if params.cfg.method == "erm":
+        w = params[f"l{layer}.w"]
+        w_d, w_self, w_a, b = [w], [], [w], [params.tensors.get(f"l{layer}.b")]
+    else:
+        prefixes = [f"l{layer}.k{j}." for j in range(1, params.cfg.num_branches + 1)]
+        w_d, w_self, w_a, b = ([params.tensors.get(p + name) for p in prefixes]
+                               for name in ("w_d", "w_self", "w_a", "b"))
     if gt.adj is not None:
-        return ad.gcn_mixture(gt.adj, z, e, [params[p + "w_d"] for p in prefixes],
-                              [params[p + "w_self"] for p in prefixes])
-    branches = []
-    for p in prefixes:
-        prop = _propagate(z, gt, params[p + "w_d"], params[p + "w_a"], params[p + "b"])
-        branches.append(ad.add(prop, ad.matmul(z, ad.transpose(params[p + "w_self"]))))
-    return ad.mix(e, branches)
+        return ad.gcn_mixture(gt.adj, z, e, w_d, w_self)
+    return ad.gat_mixture(gt.edges, z, e, w_d, w_self, w_a, b)
 
 
 def _posterior(z: Tensor, params: ParamSet, layer: int, gumbel_rng: Rng,
@@ -237,10 +217,10 @@ def forward(gt: GraphTensors, params: ParamSet, gumbel_rng: Rng, dropout_rng: Rn
     """Logits of the mixture model (canet) or of its plain backbone (erm),
     under the configuration ``params`` was initialized for.
 
-    Every layer maps z to z + dropout(relu(pre)). For erm, pre is the
-    backbone propagation with the layer's one weight; for canet, it is the
-    gated mixture of K branches under the layer's posterior, which is
-    returned alongside the logits.
+    Every layer maps z to z + dropout(relu(pre)), with pre the layer's
+    ``moe_preact``. For canet, it is the gated mixture of K branches under
+    the layer's posterior, which is returned alongside the logits; for erm,
+    the one branch of the plain backbone under a unit gate.
     """
     cfg = params.cfg
     if params.in_dim != gt.features.value.shape[1]:
@@ -250,14 +230,13 @@ def forward(gt: GraphTensors, params: ParamSet, gumbel_rng: Rng, dropout_rng: Rn
         raise ValueError(f"graph tensors were prepared for {prepared}, "
                          f"the model's backbone is {cfg.backbone}")
     posterior = None if cfg.method == "erm" else []
+    e = constant(np.ones((gt.n, 1))) if posterior is None else None  # erm's gate
     z = ad.matmul(gt.features, ad.transpose(params["phi_in"]))
     for l in range(1, cfg.num_layers + 1):
-        if posterior is None:
-            w = params[f"l{l}.w"]
-            pre = _propagate(z, gt, w, w, params.tensors.get(f"l{l}.b"))
-        else:
+        if posterior is not None:
             posterior.append(_posterior(z, params, l, gumbel_rng, training))
-            pre = moe_preact(z, gt, posterior[-1].e, params, l)
+            e = posterior[-1].e
+        pre = moe_preact(z, gt, e, params, l)
         z = ad.add(ad.dropout(ad.relu(pre), cfg.dropout, dropout_rng, training), z)
     return ForwardOutput(ad.matmul(z, ad.transpose(params["phi_out"])), posterior)
 

@@ -58,6 +58,7 @@ class EdgeIndex:
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
         """From int64 endpoint vectors already checked by ``from_coo``."""
         self.n, self.src, self.dst = n, src, dst
+        self.num_links = int(np.count_nonzero(src != dst))  # self loops excluded
         # scipy keeps int32 indices as given, and would otherwise scan and
         # downcast int64 ones on every product
         idx = np.int32 if max(n, src.size) < 2**31 else np.int64
@@ -98,13 +99,14 @@ class EdgeIndex:
         return a @ x
 
     def segment_max(self, v: np.ndarray) -> np.ndarray:
-        """Per target node, the max of ``v`` over its incoming edges; -inf
-        where a node has none."""
-        out = np.full(self.n, -np.inf)
+        """Per target node, the max of ``v`` over its incoming edges, for
+        (E,) or (E, K) ``v`` column by column; -inf where a node has none."""
+        out = np.full((self.n,) + v.shape[1:], -np.inf)
         starts = self.dst_ptr[:-1]
         filled = starts < self.dst_ptr[1:]
         if filled.any():
-            out[filled] = np.maximum.reduceat(v[self.by_dst], starts[filled])
+            out[filled] = np.maximum.reduceat(np.take(v, self.by_dst, axis=0), starts[filled],
+                                              axis=0)
         return out
 
 

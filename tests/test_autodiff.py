@@ -136,20 +136,9 @@ def test_relu_values():
     assert np.array_equal(ad.relu(constant([-1.0, 2.0])).value, [0.0, 2.0])
 
 
-def test_leaky_relu_values():
-    out = ad.leaky_relu(constant([-1.0, 2.0]), 0.2)
-    assert np.allclose(out.value, [-0.2, 2.0], atol=1e-15)
-
-
-def test_leaky_relu_slope_range():
-    with pytest.raises(ValueError):
-        ad.leaky_relu(constant([1.0]), 1.0)
-
-
 def test_activation_gradients_away_from_kink():
     x = np.array([[-2.0, -0.5, 0.7, 3.0]])
     fd_check(lambda p: ad.sum_all(ad.relu(p["x"])), {"x": x})
-    fd_check(lambda p: ad.sum_all(ad.leaky_relu(p["x"], 0.2)), {"x": x})
 
 
 # ---------------------------------------------------------------------------
@@ -262,71 +251,6 @@ def test_sum_all_grad_is_ones():
     assert np.array_equal(grads["w"], np.ones((3, 4)))
 
 
-# ---------------------------------------------------------------------------
-# structural primitives
-# ---------------------------------------------------------------------------
-
-
-def test_slice_rows_value_and_grad():
-    rng = Rng(20)
-    a = rng.normal((5, 4))
-    assert np.array_equal(ad.slice_rows(constant(a), 1, 3).value, a[1:3])
-    fd_check(lambda p: ad.sum_all(ad.mul(ad.slice_rows(p["a"], 0, 2),
-                                         ad.slice_rows(p["a"], 2, 4))),
-             {"a": a})
-
-
-def mix_loop(gates, branches, g):
-    """The gated sum and its gradients for an upstream gradient ``g``, one
-    node and one branch at a time."""
-    n, k = gates.shape
-    out = np.zeros(branches[0].shape)
-    ge = np.zeros((n, k))
-    gb = [np.zeros(b.shape) for b in branches]
-    for i in range(n):
-        for j in range(k):
-            out[i] += gates[i, j] * branches[j][i]
-            ge[i, j] = (g[i] * branches[j][i]).sum()
-            gb[j][i] = g[i] * gates[i, j]
-    return out, ge, gb
-
-
-@pytest.mark.parametrize("k", [1, 3])
-def test_mix_equals_loop_exactly(k):
-    rng = Rng(40 + k)
-    gates, g = rng.uniform((6, k)), rng.normal((6, 5))
-    branches = [rng.normal((6, 5)) for _ in range(k)]
-    ep, bps = parameter(gates), [parameter(b) for b in branches]
-    out = ad.mix(ep, bps)
-    grads = ad.backward(ad.sum_all(ad.mul(out, constant(g))),
-                        {"e": ep, **{f"b{j}": b for j, b in enumerate(bps)}})
-    expect, ge, gb = mix_loop(gates, branches, g)
-    np.testing.assert_array_equal(out.value, expect)
-    np.testing.assert_array_equal(grads["e"], ge)
-    for j in range(k):
-        np.testing.assert_array_equal(grads[f"b{j}"], gb[j])
-
-
-def test_mix_gradients():
-    rng = Rng(43)
-    # branch "a" is mixed in twice, so its gradient accumulates over two slots
-    fd_check(lambda p: ad.sum_all(ad.mul(ad.mix(p["e"], [p["a"], p["b"], p["a"]]),
-                                         ad.mix(p["e"], [p["a"], p["b"], p["a"]]))),
-             {"e": rng.uniform((4, 3)), "a": rng.normal((4, 2)), "b": rng.normal((4, 2))})
-
-
-@pytest.mark.parametrize("gates, branches", [
-    ((4, 2), [(4, 3)]),            # one gate column per branch
-    ((4, 2), [(4, 3), (4, 2)]),    # branches of one shape
-    ((3, 2), [(4, 3), (4, 3)]),    # one gate row per node
-    ((4,), [(4, 3)]),
-    ((4, 0), []),
-])
-def test_mix_validates_shapes(gates, branches):
-    with pytest.raises(DimensionError):
-        ad.mix(constant(np.ones(gates)), [constant(np.ones(b)) for b in branches])
-
-
 def test_add_broadcast_gradient():
     fd_check(lambda p: ad.sum_all(ad.mul(ad.add(p["a"], p["b"]),
                                          ad.add(p["a"], p["b"]))),
@@ -426,11 +350,16 @@ def _gcn_mixture(adj, p):
 
 def _gcn_mixture_chain(adj, p):
     """The per-branch chain the primitive replaces: K spmm/matmul/add
-    branches and one ``mix``."""
+    branches, each gated by its column of ``e`` (picked out by a one-hot
+    matmul), added left to right."""
     k = p["e"].shape[1]
-    branches = [ad.add(ad.spmm(adj, ad.matmul(p["z"], ad.transpose(p[f"d{j}"]))),
-                       ad.matmul(p["z"], ad.transpose(p[f"s{j}"]))) for j in range(k)]
-    return ad.mix(p["e"], branches)
+    out = None
+    for j in range(k):
+        branch = ad.add(ad.spmm(adj, ad.matmul(p["z"], ad.transpose(p[f"d{j}"]))),
+                        ad.matmul(p["z"], ad.transpose(p[f"s{j}"])))
+        gated = ad.mul(ad.matmul(p["e"], constant(np.eye(k)[:, j:j + 1])), branch)
+        out = gated if out is None else ad.add(out, gated)
+    return out
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -477,58 +406,30 @@ def test_gcn_mixture_counts_edge_touches_per_branch():
     ad.edge_touches.reset()
 
 
+def test_gcn_mixture_without_self_term_is_the_plain_propagation():
+    # the erm layer: one branch, no self weights and a unit gate
+    adj, theta = _mixture_operands(1, 66, n=12, h=5)
+    theta = {"z": theta["z"], "w": theta["d0"]}
+    ones, g = constant(np.ones((12, 1))), constant(Rng(67).normal((12, 5)))
+
+    def mixture(p):
+        return ad.gcn_mixture(adj, p["z"], ones, [p["w"]], [])
+
+    values, grads = [], []
+    for build in (mixture, lambda p: ad.spmm(adj, ad.matmul(p["z"], ad.transpose(p["w"])))):
+        params = {name: parameter(v) for name, v in theta.items()}
+        out = build(params)
+        values.append(out.value)
+        grads.append(ad.backward(ad.sum_all(ad.mul(out, g)), params))
+    assert np.abs(values[0] - values[1]).max() <= 1e-12
+    for name in theta:
+        assert np.abs(grads[0][name] - grads[1][name]).max() <= 1e-12, name
+    fd_check(lambda p: ad.sum_all(ad.mul(mixture(p), mixture(p))), theta)
+
+
 # ---------------------------------------------------------------------------
-# edge-level primitives
+# gated GAT mixture and its edge operations
 # ---------------------------------------------------------------------------
-
-
-def test_gather_rows_value_and_grad():
-    rng = Rng(29)
-    a = rng.normal((5, 3))
-    idx = np.array([0, 0, 4, 2])
-    out = ad.gather_rows(constant(a), idx)
-    assert np.array_equal(out.value, a[idx])
-    fd_check(lambda p: ad.sum_all(ad.mul(ad.gather_rows(p["a"], idx),
-                                         ad.gather_rows(p["a"], idx))),
-             {"a": a})
-
-
-def test_edge_combine_matches_loop():
-    rng = Rng(31)
-    n, e = 5, 7
-    src = rng.integers(0, n, e)
-    dst = rng.integers(0, n, e)
-    w = rng.normal((e,))
-    msgs = rng.normal((n, 3))
-    out = ad.edge_combine(constant(w), constant(msgs), EdgeIndex.from_coo(n, src, dst))
-    expect = np.zeros((n, 3))
-    for i in range(e):
-        expect[dst[i]] += w[i] * msgs[src[i]]
-    assert np.abs(out.value - expect).max() <= 1e-12
-
-
-def test_edge_combine_gradients():
-    rng = Rng(32)
-    n, e = 5, 7
-    edges = EdgeIndex.from_coo(n, rng.integers(0, n, e), rng.integers(0, n, e))
-    fd_check(
-        lambda p: ad.sum_all(
-            ad.mul(ad.edge_combine(p["w"], p["m"], edges),
-                   ad.edge_combine(p["w"], p["m"], edges))),
-        {"w": rng.normal((e,)), "m": rng.normal((n, 3))},
-    )
-
-
-def test_edge_combine_validates_weight_shape():
-    with pytest.raises(DimensionError):
-        ad.edge_combine(constant(np.ones((2, 2))), constant(np.ones((3, 2))),
-                        EdgeIndex.from_coo(3, [0, 1], [1, 0]))
-
-
-def test_edge_combine_validates_message_rows():
-    with pytest.raises(DimensionError):
-        ad.edge_combine(constant(np.ones(2)), constant(np.ones((4, 2))),
-                        EdgeIndex.from_coo(3, [0, 1], [1, 0]))
 
 
 def random_edges(seed, n=9, e=40):
@@ -548,6 +449,78 @@ def add_at(idx, vals, n):
     return buf
 
 
+def _gat_operands(k, seed, with_self=True, h=3):
+    """Operands of a K-branch ``gat_mixture`` on directed ``random_edges``
+    (an edge's reverse is mostly absent), with nonzero ``b``."""
+    edges = random_edges(seed)
+    pairs = set(zip(edges.src.tolist(), edges.dst.tolist()))
+    assert any((v, u) not in pairs for u, v in pairs)
+    rng = Rng(seed + 1)
+    theta = {"z": rng.normal((edges.n, h)), "e": rng.uniform((edges.n, k))}
+    for j in range(k):
+        theta[f"d{j}"] = rng.normal((h, h))
+        theta[f"a{j}"] = rng.normal((h, h))
+        theta[f"b{j}"] = 0.5 * rng.normal((2 * h, 1))
+        if with_self:
+            theta[f"s{j}"] = rng.normal((h, h))
+    return edges, theta
+
+
+def _gat_mixture(edges, p):
+    k = p["e"].shape[1]
+    w_d, w_self, w_a, b = ([p[f"{c}{j}"] for j in range(k) if f"{c}{j}" in p] for c in "dsab")
+    return ad.gat_mixture(edges, p["z"], p["e"], w_d, w_self, w_a, b)
+
+
+@pytest.mark.parametrize("with_self", [True, False], ids=["self", "no-self"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_gat_mixture_gradients(k, with_self):
+    edges, theta = _gat_operands(k, 90 + k, with_self)
+    fd_check(lambda p: ad.sum_all(ad.mul(_gat_mixture(edges, p), _gat_mixture(edges, p))),
+             theta)
+
+
+def test_gat_mixture_gradients_with_one_weight_for_messages_and_attention():
+    # the erm layer: its one weight is both w_d and w_a, under a unit gate
+    edges, theta = _gat_operands(1, 93, with_self=False)
+    ones = constant(np.ones((edges.n, 1)))
+
+    def layer(p):
+        return ad.gat_mixture(edges, p["z"], ones, [p["w"]], [], [p["w"]], [p["b"]])
+
+    fd_check(lambda p: ad.sum_all(ad.mul(layer(p), layer(p))),
+             {"z": theta["z"], "w": theta["d0"], "b": theta["b0"]})
+
+
+@pytest.mark.parametrize("n_edges, gates, k_self, k_att, b_rows", [
+    (6, (7, 2), 2, 2, 6),   # edge index of another graph
+    (7, (7, 3), 2, 2, 6),   # one gate column per branch
+    (7, (6, 2), 2, 2, 6),   # one gate row per node
+    (7, (7, 2), 1, 2, 6),   # one self weight per message weight, or none
+    (7, (7, 2), 2, 1, 6),   # one attention weight per branch
+    (7, (7, 2), 2, 2, 3),   # each b stacks two halves of H rows
+])
+def test_gat_mixture_validates_shapes(n_edges, gates, k_self, k_att, b_rows):
+    rng = Rng(94)
+    edges = EdgeIndex.from_coo(n_edges, [0], [1])
+    w = [constant(rng.normal((3, 3))) for _ in range(2)]
+    b = [constant(np.zeros((b_rows, 1))) for _ in range(2)]
+    with pytest.raises(DimensionError):
+        ad.gat_mixture(edges, constant(rng.normal((7, 3))), constant(np.ones(gates)),
+                       w, w[:k_self], w[:k_att], b)
+
+
+def test_gat_mixture_counts_edge_touches_per_branch_without_self_loops():
+    edges = EdgeIndex.from_coo(4, [0, 1, 2, 0, 1, 2, 3], [1, 2, 0, 0, 1, 2, 3])
+    rng = Rng(95)
+    w = [constant(rng.normal((2, 2))) for _ in range(3)]
+    b = [constant(rng.normal((4, 1))) for _ in range(3)]
+    ad.edge_touches.reset()
+    ad.gat_mixture(edges, constant(rng.normal((4, 2))), constant(np.ones((4, 3))), w, w, w, b)
+    assert edges.num_links == 3 and ad.edge_touches.count == 3 * 3
+    ad.edge_touches.reset()
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_edge_ops_equal_add_at_exactly(seed):
     # the CSR and bincount paths must add the same terms in the same order as
@@ -555,26 +528,15 @@ def test_edge_ops_equal_add_at_exactly(seed):
     edges = random_edges(seed)
     n, e = edges.n, edges.num_edges
     rng = Rng(seed + 100)
-    w, msgs, g = rng.normal((e,)), rng.normal((n, 4)), rng.normal((n, 4))
-    wp, mp = parameter(w), parameter(msgs)
-    out = ad.edge_combine(wp, mp, edges)
-    np.testing.assert_array_equal(
-        out.value, add_at(edges.dst, w[:, None] * msgs[edges.src], n))
-
-    # d/d(out) of sum(out * g) is g itself, bit for bit
-    grads = ad.backward(ad.sum_all(ad.mul(out, constant(g))), {"w": wp, "m": mp})
-    w_grad = np.zeros(e)
-    for i in range(e):
-        for k in range(4):
-            w_grad[i] += g[edges.dst[i], k] * msgs[edges.src[i], k]
-    np.testing.assert_array_equal(grads["w"], w_grad)
-    np.testing.assert_array_equal(grads["m"], add_at(edges.src, w[:, None] * g[edges.dst], n))
-
-    a = parameter(rng.normal((n, 3)))
-    ge = rng.normal((e, 3))
-    grads = ad.backward(ad.sum_all(ad.mul(ad.gather_rows(a, edges.src), constant(ge))),
-                        {"a": a})
-    np.testing.assert_array_equal(grads["a"], add_at(edges.src, ge, n))
+    w, x, vals = rng.normal((e,)), rng.normal((n, 4)), rng.normal((e, 3))
+    np.testing.assert_array_equal(edges.scatter_to_dst(w, x),
+                                  add_at(edges.dst, w[:, None] * x[edges.src], n))
+    np.testing.assert_array_equal(edges.scatter_to_src(w, x),
+                                  add_at(edges.src, w[:, None] * x[edges.dst], n))
+    for idx in (edges.src, edges.dst):
+        np.testing.assert_array_equal(ad._scatter_rows(idx, vals, n), add_at(idx, vals, n))
+        np.testing.assert_array_equal(ad._scatter_rows(idx, vals[:, 0], n),
+                                      add_at(idx, vals[:, 0], n))
 
 
 def edge_softmax_chain(s, g, edges):
@@ -592,40 +554,37 @@ def edge_softmax_chain(s, g, edges):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_edge_softmax_equals_deleted_chain_exactly(seed):
+    # gat_mixture's softmax of (E, K) scores, column by column
     edges = random_edges(seed)
     rng = Rng(seed + 300)
-    s, g = rng.normal((edges.num_edges,)), rng.normal((edges.num_edges,))
-    sp = parameter(s[:, None])
-    att = ad.edge_softmax(sp, edges)
-    grads = ad.backward(ad.sum_all(ad.mul(att, constant(g))), {"s": sp})
-    expect, grad = edge_softmax_chain(s, g, edges)
-    np.testing.assert_array_equal(att.value, expect)
-    np.testing.assert_array_equal(grads["s"], grad[:, None])
+    s, g = rng.normal((edges.num_edges, 3)), rng.normal((edges.num_edges, 3))
+    att, vjp = ad._attention_softmax(edges, s)
+    grad = vjp(g)
+    for j in range(3):
+        expect, expect_grad = edge_softmax_chain(s[:, j], g[:, j], edges)
+        np.testing.assert_array_equal(att[:, j], expect)
+        np.testing.assert_array_equal(grad[:, j], expect_grad)
 
 
 def test_edge_softmax_gradient():
     rng = Rng(44)
     edges = random_edges(4)
-    w = constant(rng.normal((edges.num_edges,)))
-    fd_check(lambda p: ad.sum_all(ad.mul(ad.edge_softmax(p["s"], edges), w)),
-             {"s": rng.normal((edges.num_edges, 1))})
+    s, w = rng.normal((edges.num_edges, 2)), rng.normal((edges.num_edges, 2))
+    numeric = finite_diff_grad(
+        lambda v: float((ad._attention_softmax(edges, v["s"])[0] * w).sum()), {"s": s},
+        h=1e-5)["s"]
+    analytic = ad._attention_softmax(edges, s)[1](w)
+    assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
 
 def test_edge_softmax_sums_to_one_per_target_at_extreme_scores():
     edges = random_edges(5)
-    s = 700.0 * np.sign(Rng(45).normal((edges.num_edges, 1)))  # exp(700) alone overflows
-    att = ad.edge_softmax(constant(s), edges).value
+    s = 700.0 * np.sign(Rng(45).normal((edges.num_edges, 2)))  # near the float range unshifted
+    att, _ = ad._attention_softmax(edges, s)
     sums = add_at(edges.dst, att, edges.n)
     targets = np.bincount(edges.dst, minlength=edges.n) > 0
     np.testing.assert_allclose(sums[targets], 1.0, atol=1e-12)
     assert not sums[~targets].any() and not targets[-2:].any()
-
-
-def test_edge_softmax_validates_score_shape():
-    edges = EdgeIndex.from_coo(3, [0, 1], [1, 0])
-    for shape in ((2,), (3, 1), (2, 2)):
-        with pytest.raises(DimensionError):
-            ad.edge_softmax(constant(np.ones(shape)), edges)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -638,6 +597,12 @@ def test_segment_max_equals_loop_exactly(seed):
     got = edges.segment_max(v)
     np.testing.assert_array_equal(got, expect)
     assert np.isneginf(got[-2:]).all()
+    # (E, K) scores, column by column
+    vk = Rng(seed + 250).normal((edges.num_edges, 3))
+    expect = np.full((edges.n, 3), -np.inf)
+    for i in range(edges.num_edges):
+        expect[edges.dst[i]] = np.maximum(expect[edges.dst[i]], vk[i])
+    np.testing.assert_array_equal(edges.segment_max(vk), expect)
 
 
 def test_edge_index_orders_are_stable():
@@ -692,29 +657,24 @@ def test_nan_detection_on_construction():
 # ---------------------------------------------------------------------------
 
 _ADJ = SparseAdj.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
+_EDGES = EdgeIndex.from_coo(2, [0, 1, 0, 1], [1, 0, 0, 1])
 PRIMITIVES = {
     "add": lambda x: ad.add(x, x),
     "mul": lambda x: ad.mul(x, x),
     "scale": lambda x: ad.scale(x, 2.0),
-    "mix": lambda x: ad.mix(x, [x, x]),
     "matmul": lambda x: ad.matmul(x, x),
     "transpose": ad.transpose,
-    "slice_rows": lambda x: ad.slice_rows(x, 0, 1),
     "spmm": lambda x: ad.spmm(_ADJ, x),
     "gcn_mixture": lambda x: ad.gcn_mixture(_ADJ, x, x, [x, x], [x, x]),
+    "gat_mixture": lambda x: ad.gat_mixture(_EDGES, x, x, [x, x], [x, x], [x, x],
+                                            [constant([[0.1], [0.2], [0.3], [0.4]])] * 2),
     "relu": ad.relu,
-    "leaky_relu": ad.leaky_relu,
     "row_softmax": ad.row_softmax,
     "row_log_softmax": ad.row_log_softmax,
     "dropout": lambda x: ad.dropout(x, 0.5, Rng(0), True),
     "sum_all": ad.sum_all,
     "masked_row_mean": lambda x: ad.masked_row_mean(x, [0]),
     "cross_entropy": lambda x: ad.cross_entropy(x, [0, 1], [0, 1]),
-    "gather_rows": lambda x: ad.gather_rows(x, [1, 0, 1]),
-    "edge_softmax": lambda x: ad.edge_softmax(ad.matmul(x, constant([[1.0], [2.0]])),
-                                              EdgeIndex.from_coo(2, [0, 1], [1, 0])),
-    "edge_combine": lambda x: ad.edge_combine(parameter([0.5, 1.5]), x,
-                                              EdgeIndex.from_coo(2, [0, 1], [1, 0])),
 }
 
 

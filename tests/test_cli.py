@@ -356,7 +356,7 @@ def test_package_exports_are_exactly_its_imports():
         assert getattr(envgnn, name) is not None, name
 
 
-@pytest.mark.parametrize("field", ["colour", "log_prob_gumbel", "no_reg_loss"])
+@pytest.mark.parametrize("field", ["colour", "log_prob_gumbel", "no_reg_loss", "self_loops"])
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_unknown_config_field_is_usage_error(tmp_path, data_dir, capsys, command, field):
     # a --config file or a sweep grid naming a field TrainConfig does not
@@ -375,9 +375,8 @@ def test_unknown_config_field_is_usage_error(tmp_path, data_dir, capsys, command
 def test_train_config_admits_int_for_float_and_null_for_optional():
     from envgnn.config import TrainConfig
 
-    cfg = TrainConfig.from_dict({"lr": 1, "tau": 2, "lr_env": None, "patience": None,
-                                 "self_loops": None})
-    assert (cfg.lr, cfg.tau, cfg.lr_env, cfg.patience, cfg.self_loops) == (1, 2, None, None, None)
+    cfg = TrainConfig.from_dict({"lr": 1, "tau": 2, "lr_env": None, "patience": None})
+    assert (cfg.lr, cfg.tau, cfg.lr_env, cfg.patience) == (1, 2, None, None)
 
 
 def test_train_huge_learning_rate_exits_numeric(tmp_path, data_dir, capsys):
@@ -392,7 +391,35 @@ def test_train_erm_warns_about_moe_flags(tmp_path, data_dir, capsys):
     rc = main(["train", "--data", data_dir, "--out", out, "--epochs", "2",
                "--method", "erm", "--branches", "7"])
     assert rc == EXIT_OK
-    assert "ignores K/tau/reg-weight" in capsys.readouterr().err
+    assert "--method erm ignores the canet-only settings num_branches" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    pytest.param(["--exact-kl"], {}, "exact_kl", id="exact-kl"),
+    pytest.param(["--shared-env", "--mean-pool-env"], {}, "shared_env, mean_pool_env",
+                 id="env-flags"),
+    pytest.param(["--deterministic-eval", "--tau", "0.5"], {}, "tau, deterministic_eval",
+                 id="eval-flag-and-tau"),
+    pytest.param([], {"lr_env": 0.1, "reg_weight": 0.0}, "reg_weight, lr_env",
+                 id="config-file"),
+])
+def test_train_erm_warns_naming_every_canet_only_field(tmp_path, data_dir, capsys, flags,
+                                                        config, named):
+    path = str(tmp_path / "cfg.json")
+    with open(path, "w") as fh:
+        json.dump({"method": "erm", **config}, fh)
+    rc = main(["train", "--data", data_dir, "--out", str(tmp_path / "erm"), "--epochs", "1",
+               "--config", path, *flags])
+    assert rc == EXIT_OK
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert warnings == [f"warning: --method erm ignores the canet-only settings {named}"]
+
+
+def test_train_erm_without_canet_fields_does_not_warn(tmp_path, data_dir, capsys):
+    rc = main(["train", "--data", data_dir, "--out", str(tmp_path / "erm"), "--epochs", "1",
+               "--method", "erm", "--hidden", "8"])
+    assert rc == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_missing_dataset_is_io_error(tmp_path):
@@ -434,7 +461,7 @@ def test_gradcheck_detects_corrupted_gradient(monkeypatch, capsys):
 
     monkeypatch.setattr(ad_mod, "relu", corrupted_relu)
     rc = main(["gradcheck", "--backbone", "gcn", "--seed", "0"])
-    assert rc != EXIT_OK
+    assert rc == 1
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +759,7 @@ def _edit_checkpoint(src, dst, edit):
     # retired fields: a checkpoint trained under them would evaluate differently
     *[pytest.param(lambda p, f=field: p["config"].__setitem__(f, True), field,
                    id=f"unknown-config-field-{field}")
-      for field in ("log_prob_gumbel", "no_reg_loss")],
+      for field in ("log_prob_gumbel", "no_reg_loss", "self_loops")],
     pytest.param(lambda p: p["config"].__setitem__("hidden", "x"), "hidden must be int",
                  id="config-field-str"),
     pytest.param(lambda p: p["config"].__setitem__("hidden", 2.5), "hidden must be int",

@@ -43,7 +43,6 @@ GOOD = {
     "backbone": st.sampled_from(BACKBONES),
     "method": st.sampled_from(METHODS),
     "seed": st.integers(0, 2**40),
-    "self_loops": st.none() | st.booleans(),
     **{flag: st.booleans() for flag in FLAGS},
 }
 FLOAT_FIELDS = {f.name for f in dataclasses.fields(TrainConfig) if f.type.startswith("float")}

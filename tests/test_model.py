@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from envgnn import autodiff as ad
+from envgnn import model
 from envgnn.autodiff import constant
 from envgnn.config import TrainConfig
 from envgnn.graphdata import Graph
 from envgnn.model import (
-    _branch_attention,
     env_probs,
     export_branch_weights,
     forward,
@@ -179,44 +179,50 @@ def naive_attention(zv, edges, n, wa, b, slope=0.2):
     return att
 
 
+def attention_matrix(gt, w_a, b):
+    """One GAT branch's attention as a dense (N, N) matrix, entry [v, u] the
+    weight of edge u -> v, read off ``gat_mixture``: with inputs and message
+    weight both the identity (width N), one branch, a unit gate and no self
+    term, the mixture's output is the attention matrix."""
+    eye, n = constant(np.eye(gt.n)), gt.n
+    return ad.gat_mixture(gt.edges, eye, constant(np.ones((n, 1))), [eye], [], [w_a], [b]).value
+
+
+def gat_branch_params(n, seed, scale=0.3):
+    """An (N, N) attention weight and a (2N, 1) attention vector, for
+    ``attention_matrix`` on an n-node graph."""
+    rng = Rng(seed)
+    return constant(rng.normal((n, n))), constant(scale * rng.normal((2 * n, 1)))
+
+
 def test_attention_rows_sum_to_one():
-    cfg = TrainConfig(backbone="gat", hidden=4)
     g = random_graph(seed=13)
-    gt = prepare_graph(g, cfg)
-    params = make_params(cfg)
-    params["l1.k1.b"].value = 0.3 * Rng(14).normal((8, 1))
-    z = constant(Rng(15).normal((g.n, 4)))
-    att = _branch_attention(z, gt, params["l1.k1.w_a"], params["l1.k1.b"])
-    sums = np.zeros(g.n)
-    np.add.at(sums, gt.edges.dst, att.value)
-    assert np.abs(sums - 1.0).max() <= 1e-9
+    gt = prepare_graph(g, TrainConfig(backbone="gat"))
+    att = attention_matrix(gt, *gat_branch_params(g.n, 14))
+    assert np.abs(att.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_attention_zero_bias_uniform():
-    cfg = TrainConfig(backbone="gat", hidden=4)
     g = random_graph(seed=16)
-    gt = prepare_graph(g, cfg)
-    params = make_params(cfg)  # b starts at zero
-    z = constant(Rng(17).normal((g.n, 4)))
-    att = _branch_attention(z, gt, params["l1.k1.w_a"], params["l1.k1.b"])
-    sizes = g.degrees + 1
-    assert np.abs(att.value - 1.0 / sizes[gt.edges.dst]).max() <= 1e-12
+    gt = prepare_graph(g, TrainConfig(backbone="gat"))
+    w_a, _ = gat_branch_params(g.n, 17)
+    att = attention_matrix(gt, w_a, constant(np.zeros((2 * g.n, 1))))
+    expect = np.zeros((g.n, g.n))
+    expect[gt.edges.dst, gt.edges.src] = 1.0 / (g.degrees + 1)[gt.edges.dst]
+    assert np.abs(att - expect).max() <= 1e-12
 
 
 def test_attention_matches_naive_loop():
     for seed in range(10):
-        cfg = TrainConfig(backbone="gat", hidden=4)
         g = random_graph(n=8, seed=seed + 300)
-        gt = prepare_graph(g, cfg)
-        params = make_params(cfg, seed=seed)
-        params["l1.k1.b"].value = 0.4 * Rng(seed + 400).normal((8, 1))
-        zv = Rng(seed + 500).normal((g.n, 4))
-        att = _branch_attention(constant(zv), gt, params["l1.k1.w_a"], params["l1.k1.b"])
-        oracle = naive_attention(zv, g.edges, g.n,
-                                 params["l1.k1.w_a"].value, params["l1.k1.b"].value)
-        for i in range(len(gt.edges.dst)):
-            u, v = int(gt.edges.dst[i]), int(gt.edges.src[i])
-            assert abs(att.value[i] - oracle[(u, v)]) <= 1e-10
+        gt = prepare_graph(g, TrainConfig(backbone="gat"))
+        w_a, b = gat_branch_params(g.n, seed + 400, scale=0.4)
+        att = attention_matrix(gt, w_a, b)
+        oracle = naive_attention(np.eye(g.n), g.edges, g.n, w_a.value, b.value)
+        expect = np.zeros((g.n, g.n))
+        for (u, v), a in oracle.items():
+            expect[u, v] = a
+        assert np.abs(att - expect).max() <= 1e-10
 
 
 def test_attention_isolated_node_attends_to_itself_exactly():
@@ -226,15 +232,14 @@ def test_attention_isolated_node_attends_to_itself_exactly():
     g = Graph(6, Rng(40).normal((6, 4)), [0, 1, 2, 0, 1, 2],
               [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]], 3)
     gt = prepare_graph(g, cfg)
+    att = attention_matrix(gt, *gat_branch_params(g.n, 41, scale=0.4))
+    assert att[5, 5] == 1.0 and not att[5, :5].any()
     params = make_params(cfg)
     params["l1.k1.b"].value = 0.4 * Rng(41).normal((8, 1))
     zv = Rng(42).normal((6, 4))
-    att = _branch_attention(constant(zv), gt, params["l1.k1.w_a"], params["l1.k1.b"])
-    (own,) = np.flatnonzero(gt.edges.dst == 5)
-    assert gt.edges.src[own] == 5 and att.value[own] == 1.0
-    msgs = zv @ params["l1.k1.w_d"].value.T
-    out = ad.edge_combine(att, constant(msgs), gt.edges)
-    np.testing.assert_array_equal(out.value[5], msgs[5])
+    out = ad.gat_mixture(gt.edges, constant(zv), constant(np.ones((6, 1))),
+                         [params["l1.k1.w_d"]], [], [params["l1.k1.w_a"]], [params["l1.k1.b"]])
+    np.testing.assert_array_equal(out.value[5], (zv @ params["l1.k1.w_d"].value.T)[5])
     logits = forward(gt, params, Rng(43), Rng(44), training=False).logits.value
     assert np.isfinite(logits).all()
 
@@ -270,6 +275,28 @@ def test_moe_gat_matches_naive_loop():
             branch[u] += a * msgs[v]
         expect += ev[:, j - 1:j] * branch
     assert np.abs(out.value - expect).max() <= 1e-10
+
+
+@pytest.mark.parametrize("with_self", [True, False], ids=["self", "no-self"])
+def test_gat_mixture_matches_naive_loop(with_self):
+    for seed in range(6):
+        k = 1 + seed % 3
+        g = random_graph(n=9, seed=seed + 700)
+        gt = prepare_graph(g, TrainConfig(backbone="gat"))
+        rng = Rng(seed + 710)
+        zv, ev = rng.normal((g.n, 4)), rng.uniform((g.n, k))
+        w_d, w_self, w_a = ([rng.normal((4, 4)) for _ in range(k)] for _ in range(3))
+        b = [0.4 * rng.normal((8, 1)) for _ in range(k)]
+        w_self = w_self if with_self else []
+        out = ad.gat_mixture(gt.edges, constant(zv), constant(ev),
+                             *([constant(w) for w in ws] for ws in (w_d, w_self, w_a, b)))
+        expect = np.zeros((g.n, 4))
+        for j in range(k):
+            branch = zv @ w_self[j].T if with_self else np.zeros((g.n, 4))
+            for (u, v), a in naive_attention(zv, g.edges, g.n, w_a[j], b[j]).items():
+                branch[u] += a * (zv[v] @ w_d[j].T)
+            expect += ev[:, j:j + 1] * branch
+        assert np.abs(out.value - expect).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +380,52 @@ def test_forward_rejects_graph_prepared_for_other_backbone(method):
             forward(gt, make_params(cfg), Rng(0), Rng(0), training=False)
 
 
-@pytest.mark.parametrize("method, branches_per_layer", [("canet", 3), ("erm", 1)])
-def test_gcn_training_forward_counts_edge_touches(method, branches_per_layer):
-    # canet propagates once per branch, erm once per layer; the erm operand
-    # carries the self loops, so its stored entries include one per node
-    cfg = TrainConfig(method=method, num_layers=2, num_branches=3, hidden=4)
+@pytest.mark.parametrize("backbone, method, branches_per_layer", [
+    ("gcn", "canet", 3), ("gcn", "erm", 1), ("gat", "canet", 3), ("gat", "erm", 1),
+], ids=["canet-3", "erm-1", "gat-canet-3", "gat-erm-1"])
+def test_gcn_training_forward_counts_edge_touches(backbone, method, branches_per_layer):
+    # canet propagates once per branch, erm once per layer. The GCN erm
+    # operand carries the self loops, so its stored entries include one per
+    # node; GAT's self loops are not counted.
+    cfg = TrainConfig(backbone=backbone, method=method, num_layers=2, num_branches=3, hidden=4)
     g = random_graph(seed=25)
     gt = prepare_graph(g, cfg)
-    assert gt.adj.nnz == gt.stored_edges + (g.n if method == "erm" else 0)
+    per_branch = gt.stored_edges
+    if backbone == "gcn":
+        assert gt.adj.nnz == gt.stored_edges + (g.n if method == "erm" else 0)
+        per_branch = gt.adj.nnz
     ad.edge_touches.reset()
     forward(gt, make_params(cfg), Rng(1), Rng(2), training=True)
-    assert ad.edge_touches.count == 2 * branches_per_layer * gt.adj.nnz
+    assert ad.edge_touches.count == 2 * branches_per_layer * per_branch
     ad.edge_touches.reset()
+
+
+@pytest.mark.parametrize("method", ["canet", "erm"])
+@pytest.mark.parametrize("backbone", ["gcn", "gat"])
+def test_training_step_holds_one_mixture_node_per_layer(monkeypatch, backbone, method):
+    cfg = TrainConfig(backbone=backbone, method=method, num_layers=3, hidden=4)
+    g = random_graph(seed=26)
+    gt = prepare_graph(g, cfg)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return moe_preact(*args)
+
+    monkeypatch.setattr(model, "moe_preact", counted)
+    logits = forward(gt, make_params(cfg), Rng(1), Rng(2), training=True).logits
+    loss = ad.cross_entropy(logits, g.labels, np.arange(g.n))
+    ops, seen, stack = [], {id(loss)}, [loss]
+    while stack:
+        node = stack.pop()
+        ops.append(node.op)
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert calls == [1, 2, 3]
+    assert ops.count(f"{backbone}_mixture") == 3
+    assert not ({"gcn_mixture", "gat_mixture", "spmm"} - {f"{backbone}_mixture"}) & set(ops)
 
 
 def test_baseline_gcn_hand_fixture():
