@@ -22,6 +22,15 @@ per-node sums of score gradients are one ``np.bincount`` per column. Both
 orders are stable sorts of the edge list and ``bincount`` adds in index order,
 so every per-node sum adds the same terms in the same order as an
 ``np.add.at`` scatter over the edge list, and results are bitwise equal to it.
+
+Two fast-path rules keep the hot kernels off numpy's slow paths without
+changing a bit of their output:
+
+- no ``np.where`` on a data-dependent mask: a value picked by a sign mask is
+  ``np.maximum`` (relu) or arithmetic on the mask (the GAT leaky slope,
+  ``_leaky_slope``: ``0.2 + 0.8 * (raw > 0)``, exactly 1.0 or 0.2);
+- a row maximum is ``_row_max``, not ``max(axis=-1)``, which is slow over a
+  last axis of a few entries.
 """
 
 from __future__ import annotations
@@ -230,15 +239,24 @@ def spmm(s: SparseAdj, m) -> Tensor:
 def relu(a) -> Tensor:
     a = _lift(a)
     pos = a.value > 0
-    out = Tensor(np.where(pos, a.value, 0.0), (a,), "relu")
+    out = Tensor(np.maximum(a.value, 0.0), (a,), "relu")
     out._backward = lambda g: _accum(a, g * pos)
     return out
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, bit for bit, for 1-D to 3-D ``a``.
+
+    A reduction over a short last axis is slow in numpy; the elementwise
+    maximum of the rows of its contiguous transpose is not, and max is exact
+    in any order."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).max(axis=0)[..., None]
 
 
 def row_softmax(a) -> Tensor:
     """Row-wise softmax with max-subtraction; rows sum to 1 within 1e-12."""
     a = _lift(a)
-    z = a.value - a.value.max(axis=-1, keepdims=True)
+    z = a.value - _row_max(a.value)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y, (a,), "row_softmax")
@@ -253,7 +271,7 @@ def row_softmax(a) -> Tensor:
 def row_log_softmax(a) -> Tensor:
     """Row-wise log-softmax, stable even where the softmax underflows to 0."""
     a = _lift(a)
-    z = a.value - a.value.max(axis=-1, keepdims=True)
+    z = a.value - _row_max(a.value)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     y = z - lse
     out = Tensor(y, (a,), "row_log_softmax")
@@ -317,14 +335,16 @@ def cross_entropy(logits, labels, mask) -> Tensor:
     n, c = logits.value.shape
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError("cross_entropy: label out of range")
-    z = logits.value - logits.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
+    z = logits.value - _row_max(logits.value)
+    ez = np.exp(z)
+    sums = ez.sum(axis=1, keepdims=True)
+    lse = np.log(sums[:, 0])
     picked = z[np.arange(n), labels]
     losses = lse - picked
     out = Tensor(losses[rows].mean(), (logits,), "cross_entropy")
 
     def bwd(g):
-        soft = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        soft = ez / sums
         buf = np.zeros((n, c))
         buf[rows] = soft[rows]
         buf[rows, labels[rows]] -= 1.0
@@ -390,17 +410,18 @@ def gcn_mixture(adj: SparseAdj, z, e, w_d, w_self) -> Tensor:
     the self term.
 
     The K message and K self transforms are one matmul each over the stacked
-    weights; propagation stays one CSR product per branch, so one call counts
-    K * nnz edge touches.
+    weights, and propagation is one CSR product over the contiguous (N, K*H)
+    message block. A CSR product sums each output column on its own, so that
+    product equals K branch products bit for bit and still does the work of
+    K propagations: one call counts K * nnz edge touches.
     """
     z, e, w_d, w_self = _mixture_operands("gcn_mixture", adj.n, z, e, w_d, w_self)
     zv, (n, k), h = z.value, e.shape, w_d[0].shape[0]
     wd, ws = _stack(w_d), _stack(w_self)
-    msgs = zv @ wd.T
-    branches = np.zeros((n, k, h)) if ws is None else (zv @ ws.T).reshape(n, k, h)
-    for j in range(k):
-        edge_touches.add(adj.nnz)
-        branches[:, j] += adj.csr @ msgs[:, j * h:(j + 1) * h]
+    edge_touches.add(k * adj.nnz)
+    branches = (adj.csr @ (zv @ wd.T)).reshape(n, k, h)
+    if ws is not None:
+        branches += (zv @ ws.T).reshape(n, k, h)
     mixed, branch_grad = _gate(e, branches)
     out = Tensor(mixed, (z, e, *w_d, *w_self), "gcn_mixture")
 
@@ -443,6 +464,12 @@ def _attention_softmax(edges: EdgeIndex, s: np.ndarray):
     return ex / d, lambda g: (g / d + at_targets(_scatter_rows(dst, -g * ex / (d * d), n))) * ex
 
 
+def _leaky_slope(raw: np.ndarray) -> np.ndarray:
+    """The leaky ReLU's slope at ``raw``: 1.0 where ``raw > 0``, else 0.2,
+    both exact (0.2 + 0.8 rounds to 1.0)."""
+    return 0.2 + 0.8 * (raw > 0)
+
+
 def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
     """Gated GAT mixture ``sum_k e[:, k:k+1] * (A_k z W_d,k^T + z W_self,k^T)``
     of K branches under (N, K) gates, as one node; an empty ``w_self`` drops
@@ -471,7 +498,7 @@ def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
     t = (zv @ wa.T).reshape(n, k, h).transpose(1, 0, 2)  # (K, N, H)
     alpha, beta = np.matmul(t, halves.transpose(0, 2, 1)).transpose(2, 1, 0).copy()
     raw = np.take(alpha, dst, axis=0) + np.take(beta, src, axis=0)  # (E, K)
-    slope = np.where(raw > 0, 1.0, 0.2)
+    slope = _leaky_slope(raw)
     att, softmax_vjp = _attention_softmax(edges, raw * slope)
     msgs, ws = zv @ wd.T, _stack(w_self)
     branches = np.zeros((n, k, h)) if ws is None else (zv @ ws.T).reshape(n, k, h)

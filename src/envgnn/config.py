@@ -42,7 +42,7 @@ class TrainConfig:
     tau: float = 1.0
     reg_weight: float = 1.0
     lr: float = 0.01
-    lr_env: float | None = None  # optional separate rate for the estimator
+    lr_env: float | None = None  # optional separate rate for the estimator; 0 freezes it
     weight_decay: float = 5e-4
     dropout: float = 0.1
     epochs: int = 500
@@ -72,12 +72,20 @@ class TrainConfig:
             raise ValueError("tau must be positive")
         if self.reg_weight < 0:
             raise ValueError("reg_weight must be nonnegative")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr!r}")
+        if self.lr_env is not None and self.lr_env < 0:
+            raise ValueError(f"lr_env must be nonnegative, got {self.lr_env!r}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.num_layers < 1 or self.hidden < 1 or self.num_branches < 1:
             raise ValueError("num_layers, hidden, num_branches must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

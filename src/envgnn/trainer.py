@@ -233,17 +233,19 @@ def sweep(dataset: Dataset, grid: dict[str, list], seeds: list[int],
         raise ValueError("'seed' is not a grid key: the seeds argument lists the seeds")
     base = base or TrainConfig()
     keys = sorted(grid)
+    combos = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    # every configuration is built, and so validated, before the first one trains
+    cfgs = [[TrainConfig.from_dict({**base.to_dict(), **overrides, "seed": seed})
+             for seed in seeds] for overrides in combos]
     results, means = [], {}
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
+    for overrides, runs in zip(combos, cfgs):
         valid_scores = []
-        for seed in seeds:
-            cfg = TrainConfig.from_dict({**base.to_dict(), **overrides, "seed": seed})
+        for cfg in runs:
             res = train(dataset, cfg)
             valid_scores.append(res.best_valid)
             results.append({
                 "overrides": overrides,
-                "seed": seed,
+                "seed": cfg.seed,
                 "best_valid": res.best_valid,
                 "selected_epoch": res.selected_epoch,
                 "final": res.final,

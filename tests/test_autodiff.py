@@ -102,6 +102,20 @@ def test_row_softmax_rows_sum_to_one():
     assert np.abs(out.value.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 40])
+def test_row_max_equals_keepdims_max_exactly(ndim, width):
+    rng = Rng(10 * width + ndim)
+    special = np.array([0.0, -0.0, 1e300, -1e300, 1.5, -1.5])  # ties, signed zeros, extremes
+    a = np.concatenate([special[rng.integers(0, len(special), 60 * width)],
+                        rng.normal(60 * width)])
+    rows = a[rng.permutation(len(a))].reshape(-1, width)  # 120 rows
+    for a in {1: rows[:30], 2: [rows], 3: [rows.reshape(-1, 4, width)]}[ndim]:
+        got, want = ad._row_max(a), a.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_row_softmax_gradient():
     fd_check(lambda p: ad.sum_all(ad.mul(ad.row_softmax(p["x"]), p["w"])),
              {"x": Rng(3).normal((4, 5)), "w": Rng(4).normal((4, 5))})
@@ -134,6 +148,16 @@ def test_row_log_softmax_gradient():
 
 def test_relu_values():
     assert np.array_equal(ad.relu(constant([-1.0, 2.0])).value, [0.0, 2.0])
+
+
+def test_relu_equals_where_bit_for_bit_and_keeps_its_mask():
+    a = np.concatenate([[-0.0, 0.0, -1e300, 1e300, -5e-324, 5e-324], Rng(3).normal(40)])
+    x = parameter(a)
+    out = ad.relu(x)
+    assert np.array_equal(out.value.view(np.int64), np.where(a > 0, a, 0.0).view(np.int64))
+    g = Rng(4).normal(a.shape)
+    grad = ad.backward(ad.sum_all(ad.mul(out, constant(g))), {"x": x})["x"]
+    assert np.array_equal(grad.view(np.int64), (g * (a > 0)).view(np.int64))
 
 
 def test_activation_gradients_away_from_kink():
@@ -406,6 +430,21 @@ def test_gcn_mixture_counts_edge_touches_per_branch():
     ad.edge_touches.reset()
 
 
+@pytest.mark.parametrize("with_self", [True, False], ids=["self", "no-self"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_gcn_mixture_under_one_hot_gate_is_its_branch_bit_for_bit(k, with_self):
+    adj, theta = _mixture_operands(k, 90 + k, n=12, h=5)
+    z = theta["z"]
+    w_d = [theta[f"d{j}"] for j in range(k)]
+    w_self = [theta[f"s{j}"] for j in range(k)] if with_self else []
+    for j in range(k):
+        out = ad.gcn_mixture(adj, z, np.eye(k)[[j] * 12], w_d, w_self).value
+        want = adj.csr @ (z @ w_d[j].T)
+        if with_self:
+            want = want + z @ w_self[j].T
+        assert np.array_equal(out.view(np.int64), want.view(np.int64)), j
+
+
 def test_gcn_mixture_without_self_term_is_the_plain_propagation():
     # the erm layer: one branch, no self weights and a unit gate
     adj, theta = _mixture_operands(1, 66, n=12, h=5)
@@ -478,6 +517,12 @@ def test_gat_mixture_gradients(k, with_self):
     edges, theta = _gat_operands(k, 90 + k, with_self)
     fd_check(lambda p: ad.sum_all(ad.mul(_gat_mixture(edges, p), _gat_mixture(edges, p))),
              theta)
+
+
+def test_leaky_slope_equals_where_exactly():
+    raw = np.concatenate([[-0.0, 0.0, -1e300, 1e300, -5e-324, 5e-324], Rng(5).normal(40)])
+    want = np.where(raw > 0, 1.0, 0.2)
+    assert np.array_equal(ad._leaky_slope(raw).view(np.int64), want.view(np.int64))
 
 
 def test_gat_mixture_gradients_with_one_weight_for_messages_and_attention():

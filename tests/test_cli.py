@@ -309,6 +309,45 @@ def test_train_non_finite_or_zero_epoch_flag_is_usage_error(tmp_path, data_dir, 
     assert f"{field} must be" in capsys.readouterr().err
 
 
+# a learning rate, weight decay or patience out of range, and the message naming it
+BAD_RATES = [("lr", -0.01, "lr must be positive"), ("lr", 0, "lr must be positive"),
+             ("lr_env", -0.01, "lr_env must be nonnegative"),
+             ("weight_decay", -1, "weight_decay must be nonnegative"),
+             ("patience", -1, "patience must be >= 0")]
+
+
+@pytest.mark.parametrize("source, field, value, named", [
+    (source, *bad) for source in ("flag", "config", "grid") for bad in BAD_RATES
+    if source != "flag" or bad[0] in ("lr", "weight_decay")  # the fields with a flag
+])
+def test_rate_or_patience_out_of_range_is_usage_error(tmp_path, data_dir, capsys, monkeypatch,
+                                                      source, field, value, named):
+    import envgnn.cli as cli_mod
+    import envgnn.trainer as trainer_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a run started before its config was validated")
+
+    for module in (cli_mod, trainer_mod):  # train runs from cmd_train and from sweep
+        monkeypatch.setattr(module, "train", no_training)
+    path, out = str(tmp_path / "in.json"), str(tmp_path / "out")
+    if source == "grid":
+        with open(path, "w") as fh:
+            json.dump({field: [1, value]}, fh)  # the valid value comes first
+        argv = ["sweep", "--data", data_dir, "--grid", path, "--out", out]
+    elif source == "config":
+        with open(path, "w") as fh:
+            json.dump({field: value}, fh)
+        argv = ["train", "--data", data_dir, "--config", path, "--out", out]
+    else:
+        argv = ["train", "--data", data_dir, "--out", out,
+                "--" + field.replace("_", "-"), str(value)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_train_without_ood_graphs_writes_null_ood_mean(tmp_path, data_dir):
     data = str(tmp_path / "data")
     shutil.copytree(data_dir, data)
@@ -768,6 +807,8 @@ def _edit_checkpoint(src, dst, edit):
                  id="config-field-non-finite"),
     pytest.param(lambda p: p["config"].__setitem__("epochs", 0), "epochs must be >= 1",
                  id="config-zero-epochs"),
+    *[pytest.param(lambda p, f=field, v=value: p["config"].__setitem__(f, v), named,
+                   id=f"config-{field}-{value}") for field, value, named in BAD_RATES],
     pytest.param(lambda p: p["params"]["phi_out"]["values"].__setitem__(1, math.nan),
                  "parameter 'phi_out' holds non-finite", id="param-nan"),
     pytest.param(lambda p: p["params"]["phi_in"]["values"].__setitem__(0, -math.inf),

@@ -1,6 +1,7 @@
 """Property test: random ``envgnn train --config`` objects (wrong types,
 out-of-range values, NaN and infinities, unknown keys) end in exit 0, 2
-(usage) or 4 (numeric) with a one-line reason, never in a traceback; a run
+(usage) or 4 (numeric) with a one-line reason, never in a traceback; a
+learning rate, weight decay or patience out of range always ends in 2; a run
 that succeeds writes only strict JSON.
 
 Sizes (layers, width, branches, epochs) are drawn small or non-positive:
@@ -51,6 +52,18 @@ json_scalars = (st.none() | st.booleans() | st.integers(-3, 0) | st.text(max_siz
 # a value of the wrong type or out of range, or NaN or an infinity; ints stay
 # small so that a size field never gets a large value
 bad_values = json_scalars | st.lists(st.integers(0, 2), max_size=2)
+# numbers out of a rate's or patience's range; each must be refused with exit 2
+OUT_OF_RANGE = {
+    "lr": lambda v: v <= 0,
+    "lr_env": lambda v: v < 0,
+    "weight_decay": lambda v: v < 0,
+    "patience": lambda v: v < 0,
+}
+
+
+def out_of_range(cfg):
+    return any(isinstance(cfg.get(name), (int, float)) and not isinstance(cfg[name], bool)
+               and below(cfg[name]) for name, below in OUT_OF_RANGE.items())
 
 
 @st.composite
@@ -93,6 +106,11 @@ def strict_loads(text):
 @example(cfg={"epochs": 1, "lr": 10**400})
 @example(cfg={"epochs": 1, "seed": -1})
 @example(cfg={"epochs": 2, "lr": 1e308})
+@example(cfg={"epochs": 1, "lr": -0.01})
+@example(cfg={"epochs": 1, "lr": 0})
+@example(cfg={"epochs": 1, "lr_env": -0.01})
+@example(cfg={"epochs": 1, "weight_decay": -1})
+@example(cfg={"epochs": 1, "patience": -1})
 def test_random_config_is_run_or_refused_cleanly(data, cfg):
     out_text, err_text = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -104,6 +122,8 @@ def test_random_config_is_run_or_refused_cleanly(data, cfg):
         err = err_text.getvalue()
         assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), (rc, err)
         assert "Traceback" not in err
+        if out_of_range(cfg):
+            assert rc == EXIT_USAGE, (rc, err)
         if rc != EXIT_OK:
             assert len([line for line in err.splitlines() if line.startswith(REASONS)]) == 1, err
             return

@@ -350,11 +350,11 @@ def test_sweep_result_count():
 
 
 def test_sweep_selects_dominant_config():
-    # rigged: every combination but one has a zero learning rate, so it never
-    # leaves its initialization
+    # rigged: every combination but one has a negligible learning rate (a zero
+    # rate is refused), so it barely leaves its initialization
     ds = small_dataset()
     base = TrainConfig(hidden=8, reg_weight=0.0, dropout=0.0, weight_decay=0.0, epochs=40)
-    best, results = sweep(ds, {"lr": [0.0, 0.01]}, [0], base)
+    best, results = sweep(ds, {"lr": [1e-9, 0.01]}, [0], base)
     assert best.lr == 0.01
     assert results[0]["best_valid"] < results[1]["best_valid"]
 
