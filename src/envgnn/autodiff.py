@@ -361,23 +361,16 @@ def cross_entropy(logits, labels, mask) -> Tensor:
 
 def _mixture_operands(op: str, n: int, z, e, w_d, w_self):
     """The lifted operands of a gated mixture on an ``n``-node graph, checked:
-    (N, H_in) inputs, (N, K) gates, K message weights of one (H, H_in) shape,
-    and K self weights of that shape or none."""
-    z, e = _lift(z), _lift(e)
-    w_d, w_self = [_lift(w) for w in w_d], [_lift(w) for w in w_self]
-    shape = w_d[0].shape if w_d else ()
-    if (z.value.ndim != 2 or len(shape) != 2 or shape[1] != z.shape[1]
-            or len(w_self) not in (0, len(w_d)) or any(w.shape != shape for w in w_d + w_self)
-            or n != len(z.value) or e.shape != (n, len(w_d))):
-        raise DimensionError(f"{op}: graph n={n}, z {z.shape}, gates {e.shape}, "
-                             f"w_d {[w.shape for w in w_d]}, w_self {[w.shape for w in w_self]}")
+    (N, H_in) inputs, (N, K) gates, (K, H, H_in) message weights, and self
+    weights of that shape or None."""
+    z, e, w_d = _lift(z), _lift(e), _lift(w_d)
+    w_self = None if w_self is None else _lift(w_self)
+    if (z.value.ndim != 2 or w_d.value.ndim != 3 or w_d.shape[2] != z.shape[1]
+            or (w_self is not None and w_self.shape != w_d.shape)
+            or n != len(z.value) or e.shape != (n, w_d.shape[0])):
+        raise DimensionError(f"{op}: graph n={n}, z {z.shape}, gates {e.shape}, w_d {w_d.shape}, "
+                             f"w_self {None if w_self is None else w_self.shape}")
     return z, e, w_d, w_self
-
-
-def _stack(ws: list[Tensor]) -> np.ndarray | None:
-    """K (H, H_in) weights as one (K*H, H_in) matrix, branch j in row block j;
-    None for no weights."""
-    return np.concatenate([w.value for w in ws]) if ws else None
 
 
 def _gate(e: Tensor, branches: np.ndarray):
@@ -397,43 +390,38 @@ def _gate(e: Tensor, branches: np.ndarray):
     return np.einsum("nk,nkh->nh", gates, branches), branch_grad
 
 
-def _accum_blocks(ws: list[Tensor], g: np.ndarray):
-    """Accumulate row block j of a stacked weight gradient into ``ws[j]``."""
-    for j, w in enumerate(ws):
-        h = w.shape[0]
-        _accum(w, g[j * h:(j + 1) * h])
-
-
 def gcn_mixture(adj: SparseAdj, z, e, w_d, w_self) -> Tensor:
-    """Gated GCN mixture ``sum_k e[:, k:k+1] * (A z W_d,k^T + z W_self,k^T)``
-    of K branches under (N, K) gates, as one node; an empty ``w_self`` drops
+    """Gated GCN mixture ``sum_k e[:, k:k+1] * (A z W_d[k]^T + z W_self[k]^T)``
+    of K branches under (N, K) gates, as one node; a ``w_self`` of None drops
     the self term.
 
-    The K message and K self transforms are one matmul each over the stacked
-    weights, and propagation is one CSR product over the contiguous (N, K*H)
-    message block. A CSR product sums each output column on its own, so that
-    product equals K branch products bit for bit and still does the work of
-    K propagations: one call counts K * nnz edge touches.
+    The K message and K self transforms are one matmul each over a (K*H,
+    H_in) view of the (K, H, H_in) weights, and propagation is one CSR product
+    over the contiguous (N, K*H) message block. A CSR product sums each output
+    column on its own, so that product equals K branch products bit for bit
+    and still does the work of K propagations: one call counts K * nnz edge
+    touches.
     """
     z, e, w_d, w_self = _mixture_operands("gcn_mixture", adj.n, z, e, w_d, w_self)
-    zv, (n, k), h = z.value, e.shape, w_d[0].shape[0]
-    wd, ws = _stack(w_d), _stack(w_self)
+    zv, (n, k), h = z.value, e.shape, w_d.shape[1]
+    wd = w_d.value.reshape(k * h, -1)
+    ws = None if w_self is None else w_self.value.reshape(k * h, -1)
     edge_touches.add(k * adj.nnz)
     branches = (adj.csr @ (zv @ wd.T)).reshape(n, k, h)
     if ws is not None:
         branches += (zv @ ws.T).reshape(n, k, h)
     mixed, branch_grad = _gate(e, branches)
-    out = Tensor(mixed, (z, e, *w_d, *w_self), "gcn_mixture")
+    out = Tensor(mixed, tuple(p for p in (z, e, w_d, w_self) if p is not None), "gcn_mixture")
 
     def bwd(g):
         gs = branch_grad(g).reshape(n, k * h)
         gd = adj.csr.T @ gs  # each column on its own: equal to K branch products
         gz = gd @ wd
-        if w_self:
+        if w_self is not None:
             gz = gz + gs @ ws
-            _accum_blocks(w_self, gs.T @ zv)
+            _accum(w_self, (gs.T @ zv).reshape(w_self.shape))
         _accum(z, gz)
-        _accum_blocks(w_d, gd.T @ zv)
+        _accum(w_d, (gd.T @ zv).reshape(w_d.shape))
 
     out._backward = bwd
     return out
@@ -471,42 +459,42 @@ def _leaky_slope(raw: np.ndarray) -> np.ndarray:
 
 
 def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
-    """Gated GAT mixture ``sum_k e[:, k:k+1] * (A_k z W_d,k^T + z W_self,k^T)``
-    of K branches under (N, K) gates, as one node; an empty ``w_self`` drops
+    """Gated GAT mixture ``sum_k e[:, k:k+1] * (A_k z W_d[k]^T + z W_self[k]^T)``
+    of K branches under (N, K) gates, as one node; a ``w_self`` of None drops
     the self term.
 
     ``A_k`` is branch k's attention over ``edges``: edge u -> v weighs the
     softmax, over v's incoming edges, of the leaky ReLU (slope 0.2) of
     ``alpha_k[v] + beta_k[u]``, where ``alpha_k`` and ``beta_k`` are
-    ``z W_a,k^T`` times the first and second half of the (2H, 1) vector
-    ``b_k``. The K message, self and attention transforms are one matmul each
-    over the stacked weights and the scores of all branches one (E, K) array;
-    each branch is one weighted CSR product, so one call counts K touches of
-    every edge between distinct nodes. ``w_a`` may hold the tensors of
-    ``w_d``: their gradients add up.
+    ``z W_a[k]^T`` times the first and second half of the (2H, 1) vector
+    ``b[k]``. The K message, self and attention transforms are one matmul
+    each over (K*H, H_in) views of the (K, H, H_in) weights and the scores of
+    all branches one (E, K) array; each branch is one weighted CSR product,
+    so one call counts K touches of every edge between distinct nodes.
+    ``w_a`` may be ``w_d``: their gradients add up.
     """
     z, e, w_d, w_self = _mixture_operands("gat_mixture", edges.n, z, e, w_d, w_self)
-    w_a, b = [_lift(w) for w in w_a], [_lift(v) for v in b]
-    zv, (n, k), h = z.value, e.shape, w_d[0].shape[0]
-    if (len(w_a) != k or len(b) != k or any(w.shape != w_d[0].shape for w in w_a)
-            or any(v.shape != (2 * h, 1) for v in b)):
-        raise DimensionError(f"gat_mixture: w_d {[w.shape for w in w_d]}, "
-                             f"w_a {[w.shape for w in w_a]}, b {[v.shape for v in b]}")
+    w_a, b = _lift(w_a), _lift(b)
+    zv, (n, k), h = z.value, e.shape, w_d.shape[1]
+    if w_a.shape != w_d.shape or b.shape != (k, 2 * h, 1):
+        raise DimensionError(f"gat_mixture: w_d {w_d.shape}, w_a {w_a.shape}, b {b.shape}")
     src, dst = edges.src, edges.dst
-    wd, wa = _stack(w_d), _stack(w_a)
-    halves = np.stack([v.value.reshape(2, h) for v in b])  # (K, 2, H): b_k[:H], b_k[H:]
+    wd, wa = w_d.value.reshape(k * h, -1), w_a.value.reshape(k * h, -1)
+    halves = b.value.reshape(k, 2, h)  # b[k, :H] and b[k, H:]
     t = (zv @ wa.T).reshape(n, k, h).transpose(1, 0, 2)  # (K, N, H)
     alpha, beta = np.matmul(t, halves.transpose(0, 2, 1)).transpose(2, 1, 0).copy()
     raw = np.take(alpha, dst, axis=0) + np.take(beta, src, axis=0)  # (E, K)
     slope = _leaky_slope(raw)
     att, softmax_vjp = _attention_softmax(edges, raw * slope)
-    msgs, ws = zv @ wd.T, _stack(w_self)
+    msgs = zv @ wd.T
+    ws = None if w_self is None else w_self.value.reshape(k * h, -1)
     branches = np.zeros((n, k, h)) if ws is None else (zv @ ws.T).reshape(n, k, h)
     for j in range(k):
         branches[:, j] += edges.scatter_to_dst(att[:, j], msgs[:, j * h:(j + 1) * h])
     edge_touches.add(k * edges.num_links)
     mixed, branch_grad = _gate(e, branches)
-    out = Tensor(mixed, (z, e, *w_d, *w_self, *w_a, *b), "gat_mixture")
+    out = Tensor(mixed, tuple(p for p in (z, e, w_d, w_self, w_a, b) if p is not None),
+                 "gat_mixture")
 
     # capture arrays, not ``out``: a closure on its own node is a reference
     # cycle that keeps the whole tape alive until the cyclic collector runs
@@ -515,22 +503,21 @@ def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
         gm = np.empty((n, k * h))
         for j in range(k):
             gm[:, j * h:(j + 1) * h] = edges.scatter_to_src(att[:, j], gs[:, j])
-        # d/d att[i, j] = <gs_j[dst_i], msgs_j[src_i]> = <(gs_j W_d,j)[dst_i], z[src_i]>
-        gz_d = np.matmul(gs.transpose(1, 0, 2), wd.reshape(k, h, -1))  # (K, N, H_in)
+        # d/d att[i, j] = <gs_j[dst_i], msgs_j[src_i]> = <(gs_j W_d[j])[dst_i], z[src_i]>
+        gz_d = np.matmul(gs.transpose(1, 0, 2), w_d.value)  # (K, N, H_in)
         gatt = np.einsum("kei,ei->ek", np.take(gz_d, dst, axis=1), np.take(zv, src, axis=0))
         gscore = softmax_vjp(gatt) * slope
         gab = np.stack([_scatter_rows(dst, gscore, n), _scatter_rows(src, gscore, n)], axis=-1)
         gt = np.matmul(gab.transpose(1, 0, 2), halves).transpose(1, 0, 2).reshape(n, k * h)
         gz = gm @ wd + gt @ wa
-        if w_self:
+        if w_self is not None:
             gs = gs.reshape(n, k * h)
             gz = gz + gs @ ws
-            _accum_blocks(w_self, gs.T @ zv)
+            _accum(w_self, (gs.T @ zv).reshape(w_self.shape))
         _accum(z, gz)
-        _accum_blocks(w_d, gm.T @ zv)
-        _accum_blocks(w_a, gt.T @ zv)
-        for j, ghalves in enumerate(np.matmul(gab.transpose(1, 2, 0), t)):  # (K, 2, H)
-            _accum(b[j], ghalves.reshape(2 * h, 1))
+        _accum(w_d, (gm.T @ zv).reshape(w_d.shape))
+        _accum(w_a, (gt.T @ zv).reshape(w_a.shape))
+        _accum(b, np.matmul(gab.transpose(1, 2, 0), t).reshape(b.shape))  # (K, 2, H)
 
     out._backward = bwd
     return out

@@ -130,7 +130,7 @@ def load_checkpoint(path: str) -> tuple[ParamSet, TrainConfig]:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or bytes that are not text
             raise CheckpointError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: expected a JSON object")

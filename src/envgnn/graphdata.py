@@ -288,18 +288,20 @@ def build_norm_adj(g: Graph, add_self_loops: bool = False) -> SparseAdj:
 
 
 def split_random(universe, ratios, seed: int) -> SplitSpec:
-    """Random disjoint train/valid/test split; floors, remainder to train."""
+    """Random disjoint train/valid/test split; floors, remainder to train.
+    Refuses a split with an empty part, which no dataset loader accepts."""
     universe = np.asarray(universe, dtype=np.int64)
-    if universe.size == 0:
-        raise ValueError("split universe must be nonempty")
     if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3:
         raise ValueError("ratios must be three values summing to 1")
-    rng = Rng(seed).substream(STREAM_SPLIT)
-    perm = universe[rng.permutation(universe.size)]
     n = universe.size
     n_valid = math.floor(ratios[1] * n)
     n_test = math.floor(ratios[2] * n)
     n_train = n - n_valid - n_test  # floor(train) + all remainder
+    for part, size in (("train", n_train), ("valid", n_valid), ("test_id", n_test)):
+        if size == 0:
+            raise ValueError(f"a split of {n} ID nodes by ratios {tuple(ratios)} "
+                             f"leaves '{part}' empty")
+    perm = universe[Rng(seed).substream(STREAM_SPLIT).permutation(n)]
     train = np.sort(perm[:n_train])
     valid = np.sort(perm[n_train : n_train + n_valid])
     test = np.sort(perm[n_train + n_valid :])

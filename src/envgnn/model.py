@@ -13,8 +13,12 @@ projections and residual layers, one branch without a self term under a
 unit gate. Every setting the pass reads comes from ``ParamSet.cfg``, the
 configuration the parameters were initialized for.
 
-Naming note: the estimator matrix is called ``w_env`` and the per-branch
-self-transform ``w_self`` to keep the two roles apart.
+Naming note: a layer's branch weights are one tensor per role, stacked over
+the branch axis (branch j is index j - 1): ``l{l}.w_d`` (messages),
+``l{l}.w_self`` (self term) and ``l{l}.w_a`` (GAT attention) are (K, H, H),
+``l{l}.b`` (GAT attention vector) is (K, 2H, 1). erm has K = 1 and only
+``w_d``, also its attention weight, and ``b``. The estimator matrix is called
+``w_env`` and the self-transform ``w_self`` to keep the two roles apart.
 """
 
 from __future__ import annotations
@@ -112,33 +116,28 @@ def init_params(cfg: TrainConfig, in_dim: int, num_classes: int, rng: Rng) -> Pa
     """Zero-mean Gaussian init, std sqrt(2/fan_in); bias vectors start at zero.
 
     Draw order is fixed so that runs sharing a seed share initializations
-    regardless of ablation flags.
+    regardless of ablation flags: branch by branch (w_d, w_self, w_a of
+    branch 1, then of branch 2, ...), stacked into one tensor per role.
     """
-    h, k, ll = cfg.hidden, cfg.num_branches, cfg.num_layers
+    h, ll = cfg.hidden, cfg.num_layers
+    erm, gat = cfg.method == "erm", cfg.backbone == "gat"
+    k = 1 if erm else cfg.num_branches
+    roles = ["w_d"] if erm else ["w_d", "w_self"] + (["w_a"] if gat else [])
     ps = ParamSet(cfg, in_dim, num_classes)
 
     def gauss(shape, fan_in):
         return rng.normal(shape, std=np.sqrt(2.0 / fan_in))
 
     ps.add("phi_in", gauss((h, in_dim), in_dim))
-    if cfg.method == "erm":
-        for l in range(1, ll + 1):
-            ps.add(f"l{l}.w", gauss((h, h), h))
-            if cfg.backbone == "gat":
-                ps.add(f"l{l}.b", np.zeros((2 * h, 1)))
-    else:
-        for l in range(1, ll + 1):
-            for j in range(1, k + 1):
-                ps.add(f"l{l}.k{j}.w_d", gauss((h, h), h))
-                ps.add(f"l{l}.k{j}.w_self", gauss((h, h), h))
-                if cfg.backbone == "gat":
-                    ps.add(f"l{l}.k{j}.w_a", gauss((h, h), h))
-                    ps.add(f"l{l}.k{j}.b", np.zeros((2 * h, 1)))
-        if cfg.shared_env:
-            ps.add("w_env", gauss((k, h), h))
-        else:
-            for l in range(1, ll + 1):
-                ps.add(f"l{l}.w_env", gauss((k, h), h))
+    for l in range(1, ll + 1):
+        draws = [[gauss((h, h), h) for _ in roles] for _ in range(k)]  # branch-major
+        for role, branches in zip(roles, zip(*draws)):
+            ps.add(f"l{l}.{role}", np.stack(branches))
+        if gat:
+            ps.add(f"l{l}.b", np.zeros((k, 2 * h, 1)))
+    if not erm:
+        for name in ["w_env"] if cfg.shared_env else [f"l{l}.w_env" for l in range(1, ll + 1)]:
+            ps.add(name, gauss((k, h), h))
     ps.add("phi_out", gauss((num_classes, h), h))
     return ps
 
@@ -181,20 +180,15 @@ class ForwardOutput:
 
 
 def moe_preact(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: int) -> Tensor:
-    """Gated pre-activation sum_k e_k (propagate_k(z) + z W_self,k^T) as one
-    ``gcn_mixture`` or ``gat_mixture`` node. erm is the one-branch case: its
-    one weight ``l{layer}.w`` is the message weight and, for GAT, also the
-    attention weight, and it has no self term; its gate is all ones."""
-    if params.cfg.method == "erm":
-        w = params[f"l{layer}.w"]
-        w_d, w_self, w_a, b = [w], [], [w], [params.tensors.get(f"l{layer}.b")]
-    else:
-        prefixes = [f"l{layer}.k{j}." for j in range(1, params.cfg.num_branches + 1)]
-        w_d, w_self, w_a, b = ([params.tensors.get(p + name) for p in prefixes]
-                               for name in ("w_d", "w_self", "w_a", "b"))
+    """Gated pre-activation sum_k e_k (propagate_k(z) + z W_self[k]^T) as one
+    ``gcn_mixture`` or ``gat_mixture`` node over the layer's stacked branch
+    weights. erm is the one-branch case: it has no self weight, its message
+    weight ``w_d`` is also its GAT attention weight, and its gate is all ones."""
+    w_d, w_self, w_a, b = (params.tensors.get(f"l{layer}.{role}")
+                           for role in ("w_d", "w_self", "w_a", "b"))
     if gt.adj is not None:
         return ad.gcn_mixture(gt.adj, z, e, w_d, w_self)
-    return ad.gat_mixture(gt.edges, z, e, w_d, w_self, w_a, b)
+    return ad.gat_mixture(gt.edges, z, e, w_d, w_self, w_d if w_a is None else w_a, b)
 
 
 def _posterior(z: Tensor, params: ParamSet, layer: int, gumbel_rng: Rng,
@@ -252,8 +246,7 @@ def export_branch_weights(params: ParamSet, layer: int, out_dir: str) -> list[st
         raise ValueError(f"layer must lie in [1, {params.cfg.num_layers}]")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for j in range(1, params.cfg.num_branches + 1):
-        w = params[f"l{layer}.k{j}.w_d"].value
+    for j, w in enumerate(params[f"l{layer}.w_d"].value, start=1):
         path = os.path.join(out_dir, f"layer{layer}_branch{j}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

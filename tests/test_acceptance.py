@@ -158,9 +158,9 @@ def test_accept_04_single_branch_collapse(small_planted):
     gt = prepare_graph(union, cfg)
     ref = init_params(cfg, union.num_features, ds.num_classes,
                       Rng(cfg.seed).substream(STREAM_INIT))
-    names = ["phi_in", "l1.k1.w_d", "l1.k1.w_self",
-             "l2.k1.w_d", "l2.k1.w_self", "phi_out"]
-    hand = {n: parameter(ref[n].value.copy()) for n in names}
+    names = ["phi_in", "l1.w_d", "l1.w_self", "l2.w_d", "l2.w_self", "phi_out"]
+    # the one branch's (1, H, H) layer weights as plain (H, H) matrices
+    hand = {n: parameter(ref[n].value.reshape(ref[n].shape[-2:])) for n in names}
     state = AdamState(hand)
     rows = ds.split.train
     hand_losses = []
@@ -168,8 +168,8 @@ def test_accept_04_single_branch_collapse(small_planted):
         z = ad.matmul(gt.features, ad.transpose(hand["phi_in"]))
         for l in (1, 2):
             pre = ad.add(
-                ad.spmm(gt.adj, ad.matmul(z, ad.transpose(hand[f"l{l}.k1.w_d"]))),
-                ad.matmul(z, ad.transpose(hand[f"l{l}.k1.w_self"])),
+                ad.spmm(gt.adj, ad.matmul(z, ad.transpose(hand[f"l{l}.w_d"]))),
+                ad.matmul(z, ad.transpose(hand[f"l{l}.w_self"])),
             )
             z = ad.add(ad.relu(pre), z)
         logits = ad.matmul(z, ad.transpose(hand["phi_out"]))
@@ -195,8 +195,8 @@ def naive_moe_gcn(zv, dense_adj, ev, params, layer, k):
     out = np.zeros((n, h))
     for u in range(n):
         for j in range(1, k + 1):
-            wd = params[f"l{layer}.k{j}.w_d"].value
-            ws = params[f"l{layer}.k{j}.w_self"].value
+            wd = params[f"l{layer}.w_d"].value[j - 1]
+            ws = params[f"l{layer}.w_self"].value[j - 1]
             agg = np.zeros(h)
             for v in range(n):
                 agg += dense_adj[u, v] * (zv[v] @ wd.T)
@@ -228,10 +228,11 @@ def naive_attention(zv, edges, n, wa, b, slope=0.2):
 def naive_moe_gat(zv, edges, n, ev, params, layer, k):
     out = np.zeros_like(zv)
     for j in range(1, k + 1):
-        att = naive_attention(zv, edges, n, params[f"l{layer}.k{j}.w_a"].value,
-                              params[f"l{layer}.k{j}.b"].value)
-        msgs = zv @ params[f"l{layer}.k{j}.w_d"].value.T
-        branch = zv @ params[f"l{layer}.k{j}.w_self"].value.T
+        w_d, w_self, w_a, b = (params[f"l{layer}.{role}"].value[j - 1]
+                               for role in ("w_d", "w_self", "w_a", "b"))
+        att = naive_attention(zv, edges, n, w_a, b)
+        msgs = zv @ w_d.T
+        branch = zv @ w_self.T
         for (u, v), a in att.items():
             branch[u] += a * msgs[v]
         out += ev[:, j - 1:j] * branch
@@ -261,7 +262,7 @@ def test_accept_05_layers_match_naive_loops():
                                               params, 1, k), 0.0) + zv
         else:
             for j in range(1, k + 1):
-                params[f"l1.k{j}.b"].value = 0.4 * rng.normal((2 * h, 1))
+                params["l1.b"].value[j - 1] = 0.4 * rng.normal((2 * h, 1))
             expect = np.maximum(naive_moe_gat(zv, g.edges, n, ev,
                                               params, 1, k), 0.0) + zv
         # one residual layer of the forward pass, dropout off

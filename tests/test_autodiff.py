@@ -10,6 +10,7 @@ import pytest
 
 from envgnn import autodiff as ad
 from envgnn.autodiff import NumericError, Tensor, constant, parameter
+from envgnn.gradcheck import per_branch
 from envgnn.optim import finite_diff_grad
 from envgnn.rng import Rng
 from envgnn.sparse import DimensionError, EdgeIndex, SparseAdj
@@ -17,17 +18,18 @@ from envgnn.sparse import DimensionError, EdgeIndex, SparseAdj
 
 def fd_check(build, theta, tol=1e-6, h=1e-5):
     """Compare tape gradients of a scalar-producing builder with central
-    finite differences over the named parameter arrays."""
+    finite differences over the named parameter arrays; a stacked (K, ...)
+    branch weight is compared branch by branch."""
     params = {k: parameter(v) for k, v in theta.items()}
     loss = build(params)
-    analytic = ad.backward(loss, params)
+    analytic = per_branch(ad.backward(loss, params))
 
     def f(values):
         ps = {k: parameter(v) for k, v in values.items()}
         return float(build(ps).value)
 
-    numeric = finite_diff_grad(f, {k: np.array(v) for k, v in theta.items()}, h=h)
-    for k in theta:
+    numeric = per_branch(finite_diff_grad(f, {k: np.array(v) for k, v in theta.items()}, h=h))
+    for k in analytic:
         denom = max(np.abs(analytic[k]).max(initial=0.0),
                     np.abs(numeric[k]).max(initial=0.0), 1e-8)
         assert np.abs(analytic[k] - numeric[k]).max(initial=0.0) / denom <= tol, k
@@ -358,29 +360,28 @@ def _directed_adj(n, rng, p=0.4):
 
 
 def _mixture_operands(k, seed, n=7, h=3):
+    """Inputs, gates and (K, H, H) ``w_d`` and ``w_self``, drawn branch by
+    branch."""
     rng = Rng(seed)
     theta = {"z": rng.normal((n, h)), "e": rng.uniform((n, k))}
-    for j in range(k):
-        theta[f"d{j}"] = rng.normal((h, h))
-        theta[f"s{j}"] = rng.normal((h, h))
+    branches = [(rng.normal((h, h)), rng.normal((h, h))) for _ in range(k)]
+    theta["w_d"], theta["w_self"] = (np.stack(ws) for ws in zip(*branches))
     return _directed_adj(n, rng), theta
 
 
 def _gcn_mixture(adj, p):
-    k = p["e"].shape[1]
-    return ad.gcn_mixture(adj, p["z"], p["e"], [p[f"d{j}"] for j in range(k)],
-                          [p[f"s{j}"] for j in range(k)])
+    return ad.gcn_mixture(adj, p["z"], p["e"], p["w_d"], p["w_self"])
 
 
 def _gcn_mixture_chain(adj, p):
-    """The per-branch chain the primitive replaces: K spmm/matmul/add
-    branches, each gated by its column of ``e`` (picked out by a one-hot
-    matmul), added left to right."""
+    """The per-branch chain the primitive replaces, over weights split by
+    ``per_branch``: K spmm/matmul/add branches, each gated by its column of ``e``
+    (picked out by a one-hot matmul), added left to right."""
     k = p["e"].shape[1]
     out = None
     for j in range(k):
-        branch = ad.add(ad.spmm(adj, ad.matmul(p["z"], ad.transpose(p[f"d{j}"]))),
-                        ad.matmul(p["z"], ad.transpose(p[f"s{j}"])))
+        branch = ad.add(ad.spmm(adj, ad.matmul(p["z"], ad.transpose(p[f"w_d[{j}]"]))),
+                        ad.matmul(p["z"], ad.transpose(p[f"w_self[{j}]"])))
         gated = ad.mul(ad.matmul(p["e"], constant(np.eye(k)[:, j:j + 1])), branch)
         out = gated if out is None else ad.add(out, gated)
     return out
@@ -397,13 +398,14 @@ def test_gcn_mixture_matches_per_branch_chain(k):
     adj, theta = _mixture_operands(k, 70 + k, n=12, h=5)
     g = constant(Rng(80 + k).normal((12, 5)))
     values, grads = [], []
-    for build in (_gcn_mixture, _gcn_mixture_chain):
-        params = {name: parameter(v) for name, v in theta.items()}
+    for build, operands in ((_gcn_mixture, theta), (_gcn_mixture_chain, per_branch(theta))):
+        params = {name: parameter(v) for name, v in operands.items()}
         out = build(adj, params)
         values.append(out.value)
         grads.append(ad.backward(ad.sum_all(ad.mul(out, g)), params))
     assert np.abs(values[0] - values[1]).max() <= 1e-12
-    for name in theta:
+    grads[0] = per_branch(grads[0])
+    for name in grads[1]:
         assert np.abs(grads[0][name] - grads[1][name]).max() <= 1e-12, name
 
 
@@ -416,10 +418,20 @@ def test_gcn_mixture_matches_per_branch_chain(k):
 def test_gcn_mixture_validates_shapes(n_adj, gates, k_self):
     rng = Rng(64)
     adj = SparseAdj.from_coo(n_adj, [0], [1], [1.0])
-    w = [constant(rng.normal((3, 3))) for _ in range(2)]
+    w = constant(rng.normal((2, 3, 3)))
     with pytest.raises(DimensionError):
         ad.gcn_mixture(adj, constant(rng.normal((7, 3))), constant(np.ones(gates)),
-                       w, w[:k_self])
+                       w, constant(w.value[:k_self]))
+
+
+def test_mixtures_reject_unstacked_weights():
+    # a bare (H, H_in) weight is not a stack of one branch
+    rng = Rng(68)
+    z, w, ones = constant(rng.normal((4, 3))), constant(rng.normal((3, 3))), np.ones((4, 1))
+    with pytest.raises(DimensionError):
+        ad.gcn_mixture(SparseAdj.from_coo(4, [0], [1], [1.0]), z, ones, w, None)
+    with pytest.raises(DimensionError):
+        ad.gat_mixture(EdgeIndex.from_coo(4, [0], [1]), z, ones, w, None, w, np.zeros((6, 1)))
 
 
 def test_gcn_mixture_counts_edge_touches_per_branch():
@@ -434,9 +446,8 @@ def test_gcn_mixture_counts_edge_touches_per_branch():
 @pytest.mark.parametrize("k", [1, 3])
 def test_gcn_mixture_under_one_hot_gate_is_its_branch_bit_for_bit(k, with_self):
     adj, theta = _mixture_operands(k, 90 + k, n=12, h=5)
-    z = theta["z"]
-    w_d = [theta[f"d{j}"] for j in range(k)]
-    w_self = [theta[f"s{j}"] for j in range(k)] if with_self else []
+    z, w_d = theta["z"], theta["w_d"]
+    w_self = theta["w_self"] if with_self else None
     for j in range(k):
         out = ad.gcn_mixture(adj, z, np.eye(k)[[j] * 12], w_d, w_self).value
         want = adj.csr @ (z @ w_d[j].T)
@@ -448,20 +459,24 @@ def test_gcn_mixture_under_one_hot_gate_is_its_branch_bit_for_bit(k, with_self):
 def test_gcn_mixture_without_self_term_is_the_plain_propagation():
     # the erm layer: one branch, no self weights and a unit gate
     adj, theta = _mixture_operands(1, 66, n=12, h=5)
-    theta = {"z": theta["z"], "w": theta["d0"]}
+    theta = {"z": theta["z"], "w_d": theta["w_d"]}
     ones, g = constant(np.ones((12, 1))), constant(Rng(67).normal((12, 5)))
 
     def mixture(p):
-        return ad.gcn_mixture(adj, p["z"], ones, [p["w"]], [])
+        return ad.gcn_mixture(adj, p["z"], ones, p["w_d"], None)
+
+    def plain(p):
+        return ad.spmm(adj, ad.matmul(p["z"], ad.transpose(p["w_d[0]"])))
 
     values, grads = [], []
-    for build in (mixture, lambda p: ad.spmm(adj, ad.matmul(p["z"], ad.transpose(p["w"])))):
-        params = {name: parameter(v) for name, v in theta.items()}
+    for build, operands in ((mixture, theta), (plain, per_branch(theta))):
+        params = {name: parameter(v) for name, v in operands.items()}
         out = build(params)
         values.append(out.value)
         grads.append(ad.backward(ad.sum_all(ad.mul(out, g)), params))
     assert np.abs(values[0] - values[1]).max() <= 1e-12
-    for name in theta:
+    grads[0] = per_branch(grads[0])
+    for name in grads[1]:
         assert np.abs(grads[0][name] - grads[1][name]).max() <= 1e-12, name
     fd_check(lambda p: ad.sum_all(ad.mul(mixture(p), mixture(p))), theta)
 
@@ -496,19 +511,15 @@ def _gat_operands(k, seed, with_self=True, h=3):
     assert any((v, u) not in pairs for u, v in pairs)
     rng = Rng(seed + 1)
     theta = {"z": rng.normal((edges.n, h)), "e": rng.uniform((edges.n, k))}
-    for j in range(k):
-        theta[f"d{j}"] = rng.normal((h, h))
-        theta[f"a{j}"] = rng.normal((h, h))
-        theta[f"b{j}"] = 0.5 * rng.normal((2 * h, 1))
-        if with_self:
-            theta[f"s{j}"] = rng.normal((h, h))
+    roles = ("w_d", "w_a", "b") + (("w_self",) if with_self else ())
+    branches = [(rng.normal((h, h)), rng.normal((h, h)), 0.5 * rng.normal((2 * h, 1)))
+                + ((rng.normal((h, h)),) if with_self else ()) for _ in range(k)]
+    theta.update((role, np.stack(ws)) for role, ws in zip(roles, zip(*branches)))
     return edges, theta
 
 
 def _gat_mixture(edges, p):
-    k = p["e"].shape[1]
-    w_d, w_self, w_a, b = ([p[f"{c}{j}"] for j in range(k) if f"{c}{j}" in p] for c in "dsab")
-    return ad.gat_mixture(edges, p["z"], p["e"], w_d, w_self, w_a, b)
+    return ad.gat_mixture(edges, p["z"], p["e"], p["w_d"], p.get("w_self"), p["w_a"], p["b"])
 
 
 @pytest.mark.parametrize("with_self", [True, False], ids=["self", "no-self"])
@@ -531,10 +542,10 @@ def test_gat_mixture_gradients_with_one_weight_for_messages_and_attention():
     ones = constant(np.ones((edges.n, 1)))
 
     def layer(p):
-        return ad.gat_mixture(edges, p["z"], ones, [p["w"]], [], [p["w"]], [p["b"]])
+        return ad.gat_mixture(edges, p["z"], ones, p["w_d"], None, p["w_d"], p["b"])
 
     fd_check(lambda p: ad.sum_all(ad.mul(layer(p), layer(p))),
-             {"z": theta["z"], "w": theta["d0"], "b": theta["b0"]})
+             {"z": theta["z"], "w_d": theta["w_d"], "b": theta["b"]})
 
 
 @pytest.mark.parametrize("n_edges, gates, k_self, k_att, b_rows", [
@@ -548,18 +559,18 @@ def test_gat_mixture_gradients_with_one_weight_for_messages_and_attention():
 def test_gat_mixture_validates_shapes(n_edges, gates, k_self, k_att, b_rows):
     rng = Rng(94)
     edges = EdgeIndex.from_coo(n_edges, [0], [1])
-    w = [constant(rng.normal((3, 3))) for _ in range(2)]
-    b = [constant(np.zeros((b_rows, 1))) for _ in range(2)]
+    w = constant(rng.normal((2, 3, 3)))
+    b = constant(np.zeros((2, b_rows, 1)))
     with pytest.raises(DimensionError):
         ad.gat_mixture(edges, constant(rng.normal((7, 3))), constant(np.ones(gates)),
-                       w, w[:k_self], w[:k_att], b)
+                       w, constant(w.value[:k_self]), constant(w.value[:k_att]), b)
 
 
 def test_gat_mixture_counts_edge_touches_per_branch_without_self_loops():
     edges = EdgeIndex.from_coo(4, [0, 1, 2, 0, 1, 2, 3], [1, 2, 0, 0, 1, 2, 3])
     rng = Rng(95)
-    w = [constant(rng.normal((2, 2))) for _ in range(3)]
-    b = [constant(rng.normal((4, 1))) for _ in range(3)]
+    w = constant(rng.normal((3, 2, 2)))
+    b = constant(rng.normal((3, 4, 1)))
     ad.edge_touches.reset()
     ad.gat_mixture(edges, constant(rng.normal((4, 2))), constant(np.ones((4, 3))), w, w, w, b)
     assert edges.num_links == 3 and ad.edge_touches.count == 3 * 3
@@ -703,6 +714,13 @@ def test_nan_detection_on_construction():
 
 _ADJ = SparseAdj.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
 _EDGES = EdgeIndex.from_coo(2, [0, 1, 0, 1], [1, 0, 0, 1])
+
+
+def _two_branches(x):
+    """Two branches of weight ``x``, stacked as one (2, H, H) parameter."""
+    return parameter([x.value] * 2)
+
+
 PRIMITIVES = {
     "add": lambda x: ad.add(x, x),
     "mul": lambda x: ad.mul(x, x),
@@ -710,9 +728,10 @@ PRIMITIVES = {
     "matmul": lambda x: ad.matmul(x, x),
     "transpose": ad.transpose,
     "spmm": lambda x: ad.spmm(_ADJ, x),
-    "gcn_mixture": lambda x: ad.gcn_mixture(_ADJ, x, x, [x, x], [x, x]),
-    "gat_mixture": lambda x: ad.gat_mixture(_EDGES, x, x, [x, x], [x, x], [x, x],
-                                            [constant([[0.1], [0.2], [0.3], [0.4]])] * 2),
+    "gcn_mixture": lambda x: ad.gcn_mixture(_ADJ, x, x, _two_branches(x), _two_branches(x)),
+    "gat_mixture": lambda x: ad.gat_mixture(_EDGES, x, x, _two_branches(x), _two_branches(x),
+                                            _two_branches(x),
+                                            constant([[[0.1], [0.2], [0.3], [0.4]]] * 2)),
     "relu": ad.relu,
     "row_softmax": ad.row_softmax,
     "row_log_softmax": ad.row_log_softmax,

@@ -143,6 +143,17 @@ def test_gen_data_flag_of_the_other_kind_is_usage_error(tmp_path, capsys, kind, 
     assert not os.path.exists(out)
 
 
+def test_gen_data_too_small_to_split_is_usage_error(tmp_path, capsys):
+    # 3 ID nodes split 50/25/25 leave no validation node: no later command
+    # could load the dataset, so none is written
+    out = str(tmp_path / "tiny")
+    rc = main(["gen-data", "--kind", "planted", "--n-per-domain", "1", "--out", out])
+    assert rc == EXIT_USAGE
+    assert "a split of 3 ID nodes by ratios (0.5, 0.25, 0.25) leaves 'valid' empty" in \
+        capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_gen_data_refuses_overwrite(tmp_path):
     d = str(tmp_path / "dup")
     args = ["gen-data", "--kind", "planted", "--out", d, "--seed", "0",
@@ -481,9 +492,12 @@ def test_gradcheck_both_backbones(capsys):
     for r in records:
         assert r["passed"]
         assert r["max_relative_error"] <= 1e-4
-        # report lists every parameter group
+        # report lists every parameter group, one per branch of a stacked weight
         assert "phi_in" in r["errors"] and "phi_out" in r["errors"]
-        assert "l1.w_env" in r["errors"]
+        assert "l1.w_env" in r["errors"] and "l1.w_d[2]" in r["errors"]
+        assert len(r["errors"]) == {"gcn": 16, "gat": 28}[r["backbone"]]
+    gat = next(r for r in records if r["backbone"] == "gat")
+    assert "l2.b[0]" in gat["errors"] and "l2.w_a[1]" in gat["errors"]
 
 
 def test_gradcheck_detects_corrupted_gradient(monkeypatch, capsys):
@@ -726,7 +740,7 @@ def test_export_weights_roundtrip(tmp_path, run_dir):
     params, _ = load_checkpoint(os.path.join(run_dir, "checkpoint.json"))
     for j, f in enumerate(files, start=1):
         back = import_branch_weights(os.path.join(out, f))
-        assert np.array_equal(back, params[f"l1.k{j}.w_d"].value)
+        assert np.array_equal(back, params["l1.w_d"].value[j - 1])
 
 
 def test_export_weights_trained_branches_differ(tmp_path, run_dir):
@@ -785,10 +799,26 @@ def _edit_checkpoint(src, dst, edit):
         json.dump(payload, fh)
 
 
+def _per_branch_layout(payload):
+    """Store each stacked (K, ...) branch weight ``l{l}.<role>`` as K records
+    ``l{l}.k{j}.<role>``, the layout of checkpoints of earlier versions."""
+    params = payload["params"]
+    for name in [n for n, rec in params.items() if len(rec["shape"]) == 3]:
+        rec = params.pop(name)
+        layer, role = name.split(".")
+        k, *shape = rec["shape"]
+        size = len(rec["values"]) // k
+        for j in range(k):
+            params[f"{layer}.k{j + 1}.{role}"] = {
+                "shape": shape, "values": rec["values"][j * size:(j + 1) * size]}
+
+
 @pytest.mark.parametrize("edit, named", [
     pytest.param(lambda p: p.pop("num_classes"), "num_classes", id="missing-field"),
-    pytest.param(lambda p: p["params"].pop("l1.k2.w_self"), "l1.k2.w_self",
+    pytest.param(lambda p: p["params"].pop("l1.w_self"), "l1.w_self",
                  id="missing-param"),
+    pytest.param(_per_branch_layout, "missing parameters ['l1.w_d', 'l1.w_self', 'l2.w_d'",
+                 id="per-branch-layout"),
     pytest.param(lambda p: p["params"].__setitem__("l9.w", p["params"]["phi_in"]), "l9.w",
                  id="extra-param"),
     pytest.param(lambda p: p["params"]["phi_out"].__setitem__("shape", [1, 1]), "phi_out",
@@ -823,6 +853,17 @@ def test_malformed_checkpoint_exits_compat(tmp_path, data_dir, run_dir, capsys, 
                "--out", str(tmp_path / "e")])
     assert rc == EXIT_COMPAT
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "export-weights"])
+def test_checkpoint_not_text_exits_compat(tmp_path, data_dir, capsys, command):
+    ckpt = str(tmp_path / "bytes.json")
+    with open(ckpt, "wb") as fh:
+        fh.write(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte-order mark
+    extra = ["--data", data_dir] if command == "eval" else ["--layer", "1"]
+    rc = main([command, *extra, "--checkpoint", ckpt, "--out", str(tmp_path / "out")])
+    assert rc == EXIT_COMPAT
+    assert f"incompatible checkpoint: {ckpt}: not valid JSON" in capsys.readouterr().err
 
 
 def test_eval_overflowing_checkpoint_exits_numeric(tmp_path, data_dir, run_dir):

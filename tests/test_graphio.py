@@ -224,6 +224,13 @@ def test_split_rejects_bad_ratios():
         split_random(np.arange(10), (0.5, 0.3, 0.3), seed=0)
 
 
+@pytest.mark.parametrize("n, part", [(0, "train"), (1, "valid"), (3, "valid")])
+def test_split_refuses_an_empty_part(n, part):
+    # every later command refuses a dataset whose train, valid or test_id is empty
+    with pytest.raises(ValueError, match=f"a split of {n} ID nodes .* leaves '{part}' empty"):
+        split_random(np.arange(n), (0.5, 0.25, 0.25), seed=0)
+
+
 def test_splitspec_rejects_overlap():
     with pytest.raises(ValueError):
         SplitSpec([0, 1], [1, 2], [3])
@@ -415,8 +422,8 @@ def test_load_graph_rejects_empty_or_non_finite_features(tmp_path, text, named):
 def test_dataset_rejects_mixed_dims():
     g1 = Graph(2, np.zeros((2, 3)), [0, 0], [], 1)
     g2 = Graph(2, np.zeros((2, 4)), [0, 0], [], 1)
-    with pytest.raises(ValueError):
-        Dataset([g1], [g2], split_random(np.arange(2), (0.5, 0.25, 0.25), 0), {})
+    with pytest.raises(ValueError, match="share D and C"):
+        Dataset([g1], [g2], SplitSpec([0, 1], [], []), {})
 
 
 def test_dataset_offsets_and_pooled_labels():

@@ -258,7 +258,7 @@ def test_malformed_tsv_is_a_clean_failure(served, graph, edit, where):
 # ---------------------------------------------------------------------------
 
 FIELDS = ["config", "in_dim", "num_classes", "params"]
-PARAMS = ["phi_in", "l1.k1.w_d", "l1.k2.w_a", "l1.k1.b", "l1.w_env", "phi_out"]
+PARAMS = ["phi_in", "l1.w_d", "l1.w_a", "l1.b", "l1.w_env", "phi_out"]
 FLOAT_FIELDS = sorted(f.name for f in dataclasses.fields(TrainConfig) if f.type.startswith("float"))
 # written by json.dumps as the tokens NaN, Infinity and -Infinity
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -285,7 +285,7 @@ checkpoint_edits = st.one_of(
 @given(edit=checkpoint_edits)
 @example(edit=("in_dim", 0))
 @example(edit=("num_classes", "2"))
-@example(edit=("non-finite-value", ("l1.k1.w_d", 3, math.nan)))
+@example(edit=("non-finite-value", ("l1.w_d", 3, math.nan)))
 @example(edit=("non-finite-config", ("tau", math.inf)))
 def test_malformed_checkpoint_is_a_clean_failure(served, edit):
     data, checkpoint = served

@@ -100,8 +100,8 @@ def naive_moe_gcn(zv, dense_adj, ev, params, layer, k):
     out = np.zeros((n, h))
     for u in range(n):
         for j in range(1, k + 1):
-            wd = params[f"l{layer}.k{j}.w_d"].value
-            ws = params[f"l{layer}.k{j}.w_self"].value
+            wd = params[f"l{layer}.w_d"].value[j - 1]
+            ws = params[f"l{layer}.w_self"].value[j - 1]
             agg = np.zeros(h)
             for v in range(n):
                 agg += dense_adj[u, v] * (zv[v] @ wd.T)
@@ -117,8 +117,8 @@ def test_moe_gcn_gate_collapse_k1():
     z = constant(Rng(8).normal((g.n, 4)))
     e = constant(np.ones((g.n, 1)))
     out = moe_preact(z, gt, e, params, 1)
-    direct = (gt.adj.densify() @ z.value @ params["l1.k1.w_d"].value.T
-              + z.value @ params["l1.k1.w_self"].value.T)
+    direct = (gt.adj.densify() @ z.value @ params["l1.w_d"].value[0].T
+              + z.value @ params["l1.w_self"].value[0].T)
     assert np.abs(out.value - direct).max() <= 1e-12
 
 
@@ -132,8 +132,8 @@ def test_moe_gcn_one_hot_gate_exclusivity():
     e[:, 1] = 1.0
     out = moe_preact(z, gt, constant(e), params, 1)
     # scrambling the unused branches' weights must not change the output
-    params["l1.k1.w_d"].value = Rng(11).normal((4, 4))
-    params["l1.k3.w_self"].value = Rng(12).normal((4, 4))
+    params["l1.w_d"].value[0] = Rng(11).normal((4, 4))
+    params["l1.w_self"].value[2] = Rng(12).normal((4, 4))
     out2 = moe_preact(z, gt, constant(e), params, 1)
     assert np.abs(out.value - out2.value).max() == 0.0
 
@@ -184,15 +184,15 @@ def attention_matrix(gt, w_a, b):
     weight of edge u -> v, read off ``gat_mixture``: with inputs and message
     weight both the identity (width N), one branch, a unit gate and no self
     term, the mixture's output is the attention matrix."""
-    eye, n = constant(np.eye(gt.n)), gt.n
-    return ad.gat_mixture(gt.edges, eye, constant(np.ones((n, 1))), [eye], [], [w_a], [b]).value
+    eye, n = np.eye(gt.n), gt.n
+    return ad.gat_mixture(gt.edges, eye, np.ones((n, 1)), eye[None], None, w_a, b).value
 
 
 def gat_branch_params(n, seed, scale=0.3):
-    """An (N, N) attention weight and a (2N, 1) attention vector, for
-    ``attention_matrix`` on an n-node graph."""
+    """One branch's (1, N, N) attention weight and (1, 2N, 1) attention
+    vector, for ``attention_matrix`` on an n-node graph."""
     rng = Rng(seed)
-    return constant(rng.normal((n, n))), constant(scale * rng.normal((2 * n, 1)))
+    return constant(rng.normal((1, n, n))), constant(scale * rng.normal((1, 2 * n, 1)))
 
 
 def test_attention_rows_sum_to_one():
@@ -206,7 +206,7 @@ def test_attention_zero_bias_uniform():
     g = random_graph(seed=16)
     gt = prepare_graph(g, TrainConfig(backbone="gat"))
     w_a, _ = gat_branch_params(g.n, 17)
-    att = attention_matrix(gt, w_a, constant(np.zeros((2 * g.n, 1))))
+    att = attention_matrix(gt, w_a, constant(np.zeros((1, 2 * g.n, 1))))
     expect = np.zeros((g.n, g.n))
     expect[gt.edges.dst, gt.edges.src] = 1.0 / (g.degrees + 1)[gt.edges.dst]
     assert np.abs(att - expect).max() <= 1e-12
@@ -218,7 +218,7 @@ def test_attention_matches_naive_loop():
         gt = prepare_graph(g, TrainConfig(backbone="gat"))
         w_a, b = gat_branch_params(g.n, seed + 400, scale=0.4)
         att = attention_matrix(gt, w_a, b)
-        oracle = naive_attention(np.eye(g.n), g.edges, g.n, w_a.value, b.value)
+        oracle = naive_attention(np.eye(g.n), g.edges, g.n, w_a.value[0], b.value[0])
         expect = np.zeros((g.n, g.n))
         for (u, v), a in oracle.items():
             expect[u, v] = a
@@ -235,11 +235,11 @@ def test_attention_isolated_node_attends_to_itself_exactly():
     att = attention_matrix(gt, *gat_branch_params(g.n, 41, scale=0.4))
     assert att[5, 5] == 1.0 and not att[5, :5].any()
     params = make_params(cfg)
-    params["l1.k1.b"].value = 0.4 * Rng(41).normal((8, 1))
+    params["l1.b"].value[0] = 0.4 * Rng(41).normal((8, 1))
     zv = Rng(42).normal((6, 4))
-    out = ad.gat_mixture(gt.edges, constant(zv), constant(np.ones((6, 1))),
-                         [params["l1.k1.w_d"]], [], [params["l1.k1.w_a"]], [params["l1.k1.b"]])
-    np.testing.assert_array_equal(out.value[5], (zv @ params["l1.k1.w_d"].value.T)[5])
+    w_d, w_a, b = (params[f"l1.{role}"].value[:1] for role in ("w_d", "w_a", "b"))
+    out = ad.gat_mixture(gt.edges, constant(zv), constant(np.ones((6, 1))), w_d, None, w_a, b)
+    np.testing.assert_array_equal(out.value[5], (zv @ w_d[0].T)[5])
     logits = forward(gt, params, Rng(43), Rng(44), training=False).logits.value
     assert np.isfinite(logits).all()
 
@@ -260,17 +260,18 @@ def test_moe_gat_matches_naive_loop():
     gt = prepare_graph(g, cfg)
     params = make_params(cfg)
     for j in (1, 2):
-        params[f"l1.k{j}.b"].value = 0.4 * Rng(601 + j).normal((8, 1))
+        params["l1.b"].value[j - 1] = 0.4 * Rng(601 + j).normal((8, 1))
     rng = Rng(610)
     zv = rng.normal((g.n, 4))
     ev = ad.row_softmax(constant(rng.normal((g.n, 2)))).value
     out = moe_preact(constant(zv), gt, constant(ev), params, 1)
     expect = np.zeros((g.n, 4))
     for j in (1, 2):
-        att = naive_attention(zv, g.edges, g.n,
-                              params[f"l1.k{j}.w_a"].value, params[f"l1.k{j}.b"].value)
-        msgs = zv @ params[f"l1.k{j}.w_d"].value.T
-        branch = zv @ params[f"l1.k{j}.w_self"].value.T
+        w_d, w_self, w_a, b = (params[f"l1.{role}"].value[j - 1]
+                               for role in ("w_d", "w_self", "w_a", "b"))
+        att = naive_attention(zv, g.edges, g.n, w_a, b)
+        msgs = zv @ w_d.T
+        branch = zv @ w_self.T
         for (u, v), a in att.items():
             branch[u] += a * msgs[v]
         expect += ev[:, j - 1:j] * branch
@@ -285,11 +286,10 @@ def test_gat_mixture_matches_naive_loop(with_self):
         gt = prepare_graph(g, TrainConfig(backbone="gat"))
         rng = Rng(seed + 710)
         zv, ev = rng.normal((g.n, 4)), rng.uniform((g.n, k))
-        w_d, w_self, w_a = ([rng.normal((4, 4)) for _ in range(k)] for _ in range(3))
-        b = [0.4 * rng.normal((8, 1)) for _ in range(k)]
-        w_self = w_self if with_self else []
-        out = ad.gat_mixture(gt.edges, constant(zv), constant(ev),
-                             *([constant(w) for w in ws] for ws in (w_d, w_self, w_a, b)))
+        w_d, w_self, w_a = (rng.normal((k, 4, 4)) for _ in range(3))
+        b = 0.4 * rng.normal((k, 8, 1))
+        out = ad.gat_mixture(gt.edges, constant(zv), constant(ev), w_d,
+                             w_self if with_self else None, w_a, b)
         expect = np.zeros((g.n, 4))
         for j in range(k):
             branch = zv @ w_self[j].T if with_self else np.zeros((g.n, 4))
@@ -400,6 +400,12 @@ def test_gcn_training_forward_counts_edge_touches(backbone, method, branches_per
     ad.edge_touches.reset()
 
 
+# tape nodes of a 3-layer training forward and its cross-entropy, leaves
+# included: each layer's branch weights are one parameter per role
+NODES_PER_STEP = {("gcn", "canet"): 50, ("gcn", "erm"): 24, ("gat", "canet"): 56,
+                  ("gat", "erm"): 27}
+
+
 @pytest.mark.parametrize("method", ["canet", "erm"])
 @pytest.mark.parametrize("backbone", ["gcn", "gat"])
 def test_training_step_holds_one_mixture_node_per_layer(monkeypatch, backbone, method):
@@ -425,6 +431,7 @@ def test_training_step_holds_one_mixture_node_per_layer(monkeypatch, backbone, m
                 stack.append(p)
     assert calls == [1, 2, 3]
     assert ops.count(f"{backbone}_mixture") == 3
+    assert len(ops) == NODES_PER_STEP[backbone, method]
     assert not ({"gcn_mixture", "gat_mixture", "spmm"} - {f"{backbone}_mixture"}) & set(ops)
 
 
@@ -435,7 +442,7 @@ def test_baseline_gcn_hand_fixture():
     cfg = TrainConfig(method="erm", num_layers=1, hidden=n, dropout=0.0)
     g = Graph(n, np.eye(n), [0, 1, 0], [[0, 1], [1, 2]], 2)
     params = make_params(cfg, in_dim=n, num_classes=n)
-    params.load_values({"phi_in": np.eye(n), "l1.w": np.eye(n), "phi_out": np.eye(n)})
+    params.load_values({"phi_in": np.eye(n), "l1.w_d": np.eye(n)[None], "phi_out": np.eye(n)})
     gt = prepare_graph(g, cfg)
     out = forward(gt, params, Rng(0), Rng(0), training=False)
     expect = gt.adj.densify() + np.eye(n)  # relu is inactive: entries >= 0
@@ -452,7 +459,7 @@ def test_baseline_gat_zero_bias_is_mean_aggregation():
     gt = prepare_graph(g, cfg)
     out = forward(gt, params, Rng(0), Rng(0), training=False)
     z = g.features @ params["phi_in"].value.T
-    msgs = z @ params["l1.w"].value.T
+    msgs = z @ params["l1.w_d"].value[0].T
     agg = np.zeros_like(z)
     for i in range(len(gt.edges.dst)):
         agg[gt.edges.dst[i]] += msgs[gt.edges.src[i]] / (g.degrees[gt.edges.dst[i]] + 1)
@@ -474,22 +481,80 @@ def test_init_deterministic():
         assert np.array_equal(a[k], b[k])
 
 
+def _layer_params(l, roles, shape):
+    return [(f"l{l}.{role}", shape) for role in roles]
+
+
+@pytest.mark.parametrize("backbone, method, shared_env, expect", [
+    ("gcn", "canet", False,
+     [("phi_in", (4, 5))] + _layer_params(1, ("w_d", "w_self"), (3, 4, 4))
+     + _layer_params(2, ("w_d", "w_self"), (3, 4, 4))
+     + [("l1.w_env", (3, 4)), ("l2.w_env", (3, 4)), ("phi_out", (2, 4))]),
+    ("gcn", "canet", True,
+     [("phi_in", (4, 5))] + _layer_params(1, ("w_d", "w_self"), (3, 4, 4))
+     + _layer_params(2, ("w_d", "w_self"), (3, 4, 4)) + [("w_env", (3, 4)), ("phi_out", (2, 4))]),
+    ("gat", "canet", False,
+     [("phi_in", (4, 5))] + _layer_params(1, ("w_d", "w_self", "w_a"), (3, 4, 4))
+     + [("l1.b", (3, 8, 1))] + _layer_params(2, ("w_d", "w_self", "w_a"), (3, 4, 4))
+     + [("l2.b", (3, 8, 1)), ("l1.w_env", (3, 4)), ("l2.w_env", (3, 4)), ("phi_out", (2, 4))]),
+    ("gcn", "erm", False,
+     [("phi_in", (4, 5)), ("l1.w_d", (1, 4, 4)), ("l2.w_d", (1, 4, 4)), ("phi_out", (2, 4))]),
+    ("gat", "erm", False,
+     [("phi_in", (4, 5)), ("l1.w_d", (1, 4, 4)), ("l1.b", (1, 8, 1)), ("l2.w_d", (1, 4, 4)),
+      ("l2.b", (1, 8, 1)), ("phi_out", (2, 4))]),
+], ids=["gcn-canet", "gcn-canet-shared-env", "gat-canet", "gcn-erm", "gat-erm"])
+def test_init_params_names_and_shapes(backbone, method, shared_env, expect):
+    cfg = TrainConfig(backbone=backbone, method=method, shared_env=shared_env, hidden=4,
+                      num_branches=3, num_layers=2)
+    params = make_params(cfg, in_dim=5, num_classes=2)
+    assert [(name, t.shape) for name, t in params.tensors.items()] == expect
+
+
+@pytest.mark.parametrize("method", ["canet", "erm"])
+@pytest.mark.parametrize("backbone", ["gcn", "gat"])
+def test_init_params_stacks_branch_major_draws(backbone, method):
+    # branch j of a stacked tensor holds the draw a per-branch tensor of that
+    # role got before the weights were stacked: draws go branch by branch
+    # (w_d, w_self, w_a of branch 1, then of branch 2, ...), so a seed keeps
+    # its initial weights
+    cfg = TrainConfig(backbone=backbone, method=method, hidden=4, num_branches=3,
+                      num_layers=2)
+    params = make_params(cfg, in_dim=5, num_classes=2, seed=9)
+    rng = Rng(9).substream(STREAM_INIT)
+    canet = method == "canet"
+    roles = ["w_d"] + (["w_self"] + (["w_a"] if backbone == "gat" else []) if canet else [])
+    drawn = {("phi_in", None): rng.normal((4, 5), std=np.sqrt(2.0 / 5))}
+    for l in (1, 2):
+        for j in range(3 if canet else 1):
+            for role in roles:
+                drawn[f"l{l}.{role}", j] = rng.normal((4, 4), std=np.sqrt(2.0 / 4))
+    for l in (1, 2) if canet else ():
+        drawn[f"l{l}.w_env", None] = rng.normal((3, 4), std=np.sqrt(2.0 / 4))
+    drawn["phi_out", None] = rng.normal((2, 4), std=np.sqrt(2.0 / 4))
+    for (name, j), w in drawn.items():
+        got = params[name].value if j is None else params[name].value[j]
+        assert np.array_equal(got.view(np.int64), w.view(np.int64)), (name, j)
+    biases = {name for name in params.tensors if name.endswith(".b")}
+    assert {name for name, _ in drawn} == set(params.tensors) - biases
+    assert not any(params[name].value.any() for name in biases)
+
+
 def test_init_std_matches_fan_in():
     cfg = TrainConfig(hidden=512, num_layers=1, num_branches=1)
     params = make_params(cfg, in_dim=512, num_classes=2)
-    std = params["l1.k1.w_d"].value.std()
+    std = params["l1.w_d"].value.std()
     target = np.sqrt(2.0 / 512)
     assert abs(std - target) <= 0.1 * target
 
 
 def test_init_branches_not_tied():
     params = make_params(TrainConfig(hidden=8))
-    assert not np.array_equal(params["l1.k1.w_d"].value, params["l1.k2.w_d"].value)
+    assert not np.array_equal(params["l1.w_d"].value[0], params["l1.w_d"].value[1])
 
 
 def test_init_gat_bias_zero():
     params = make_params(TrainConfig(hidden=8, backbone="gat"))
-    assert np.array_equal(params["l1.k1.b"].value, np.zeros((16, 1)))
+    assert np.array_equal(params["l1.b"].value, np.zeros((3, 16, 1)))
 
 
 def test_shared_env_single_matrix():
@@ -525,7 +590,7 @@ def test_export_import_roundtrip(tmp_path):
     paths = export_branch_weights(params, 2, str(tmp_path))
     for j, p in enumerate(paths, start=1):
         back = import_branch_weights(p)
-        assert np.array_equal(back, params[f"l2.k{j}.w_d"].value)
+        assert np.array_equal(back, params["l2.w_d"].value[j - 1])
 
 
 def test_export_rejects_bad_layer(tmp_path):
