@@ -23,6 +23,11 @@ orders are stable sorts of the edge list and ``bincount`` adds in index order,
 so every per-node sum adds the same terms in the same order as an
 ``np.add.at`` scatter over the edge list, and results are bitwise equal to it.
 
+Nothing in ``gat_mixture`` is K*E*H in size. Its attention scores are
+products of z with score vectors folded from ``W_a[k]^T b[k]``, and the
+attention weights' gradient is one row-wise dot per branch over blocks of
+edges, bitwise equal to the (K, E, H) gather-and-contract it replaces.
+
 Two fast-path rules keep the hot kernels off numpy's slow paths without
 changing a bit of their output:
 
@@ -458,6 +463,37 @@ def _leaky_slope(raw: np.ndarray) -> np.ndarray:
     return 0.2 + 0.8 * (raw > 0)
 
 
+# edges per block of the attention-weight gradient; a block gathers its
+# (B, H_in) source rows once for all K branches
+_EDGE_BLOCK = 2048
+
+
+def _edge_dots(gz_d: np.ndarray, z: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               block: int = _EDGE_BLOCK) -> np.ndarray:
+    """``out[i, j] = <gz_d[j, dst[i]], z[src[i]]>`` for (K, N, H_in) ``gz_d``,
+    as the (E, K) array ``einsum("kei,ei->ek", gz_d[:, dst], z[src])``, bit
+    for bit, without its (K, E, H_in) gather: each block of ``block`` edges
+    gathers its source rows once and takes one row-wise dot per branch."""
+    out = np.empty((len(src), len(gz_d)))
+    for lo in range(0, len(src), block):
+        zs = np.take(z, src[lo:lo + block], axis=0)
+        d = dst[lo:lo + block]
+        for j, g in enumerate(gz_d):
+            out[lo:lo + block, j] = np.einsum("ei,ei->e", np.take(g, d, axis=0), zs)
+    return out
+
+
+def _attention_scores(z: np.ndarray, w_a: np.ndarray, halves: np.ndarray):
+    """Branch k's attention scores ``alpha[:, k] = z W_a[k]^T b_k[:H]`` and
+    ``beta[:, k] = z W_a[k]^T b_k[H:]`` for (K, H, H_in) ``w_a`` and the (K, 2,
+    H) ``halves`` of b, as one product ``z u^T`` with the (2K, H_in) score
+    vectors ``u`` (rows ``W_a[k]^T b_k[:H]``, ``W_a[k]^T b_k[H:]``, branch by
+    branch) folded first. Returns ``u``, ``alpha`` and ``beta``."""
+    u = np.matmul(halves, w_a).reshape(2 * len(w_a), -1)
+    alpha, beta = (z @ u.T).reshape(len(z), len(w_a), 2).transpose(2, 0, 1).copy()
+    return u, alpha, beta
+
+
 def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
     """Gated GAT mixture ``sum_k e[:, k:k+1] * (A_k z W_d[k]^T + z W_self[k]^T)``
     of K branches under (N, K) gates, as one node; a ``w_self`` of None drops
@@ -467,10 +503,18 @@ def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
     softmax, over v's incoming edges, of the leaky ReLU (slope 0.2) of
     ``alpha_k[v] + beta_k[u]``, where ``alpha_k`` and ``beta_k`` are
     ``z W_a[k]^T`` times the first and second half of the (2H, 1) vector
-    ``b[k]``. The K message, self and attention transforms are one matmul
-    each over (K*H, H_in) views of the (K, H, H_in) weights and the scores of
-    all branches one (E, K) array; each branch is one weighted CSR product,
-    so one call counts K touches of every edge between distinct nodes.
+    ``b[k]``, scored from folded vectors by ``_attention_scores``: neither
+    pass forms the (N, K*H) transform ``z W_a^T``. With the (N, 2K) score
+    gradient ``gab`` and ``gu = gab^T z``, the backward gives ``z``,
+    ``W_a[k]`` and ``b[k]`` the gradients ``gab u``, ``halves[k]^T gu[k]`` and
+    ``gu[k] W_a[k]^T``.
+
+    The K message and self transforms are one matmul each over (K*H, H_in)
+    views of the (K, H, H_in) weights, and the scores of all branches one
+    (E, K) array; each branch is one weighted CSR product, so one call counts
+    K touches of every edge between distinct nodes. The attention weights'
+    gradient is taken per branch in blocks of edges (``_edge_dots``); no
+    (K, E, H_in) array exists.
     ``w_a`` may be ``w_d``: their gradients add up.
     """
     z, e, w_d, w_self = _mixture_operands("gat_mixture", edges.n, z, e, w_d, w_self)
@@ -479,10 +523,9 @@ def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
     if w_a.shape != w_d.shape or b.shape != (k, 2 * h, 1):
         raise DimensionError(f"gat_mixture: w_d {w_d.shape}, w_a {w_a.shape}, b {b.shape}")
     src, dst = edges.src, edges.dst
-    wd, wa = w_d.value.reshape(k * h, -1), w_a.value.reshape(k * h, -1)
+    wd = w_d.value.reshape(k * h, -1)
     halves = b.value.reshape(k, 2, h)  # b[k, :H] and b[k, H:]
-    t = (zv @ wa.T).reshape(n, k, h).transpose(1, 0, 2)  # (K, N, H)
-    alpha, beta = np.matmul(t, halves.transpose(0, 2, 1)).transpose(2, 1, 0).copy()
+    u, alpha, beta = _attention_scores(zv, w_a.value, halves)
     raw = np.take(alpha, dst, axis=0) + np.take(beta, src, axis=0)  # (E, K)
     slope = _leaky_slope(raw)
     att, softmax_vjp = _attention_softmax(edges, raw * slope)
@@ -505,19 +548,19 @@ def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
             gm[:, j * h:(j + 1) * h] = edges.scatter_to_src(att[:, j], gs[:, j])
         # d/d att[i, j] = <gs_j[dst_i], msgs_j[src_i]> = <(gs_j W_d[j])[dst_i], z[src_i]>
         gz_d = np.matmul(gs.transpose(1, 0, 2), w_d.value)  # (K, N, H_in)
-        gatt = np.einsum("kei,ei->ek", np.take(gz_d, dst, axis=1), np.take(zv, src, axis=0))
-        gscore = softmax_vjp(gatt) * slope
-        gab = np.stack([_scatter_rows(dst, gscore, n), _scatter_rows(src, gscore, n)], axis=-1)
-        gt = np.matmul(gab.transpose(1, 0, 2), halves).transpose(1, 0, 2).reshape(n, k * h)
-        gz = gm @ wd + gt @ wa
+        gscore = softmax_vjp(_edge_dots(gz_d, zv, src, dst)) * slope
+        gab = np.stack([_scatter_rows(dst, gscore, n), _scatter_rows(src, gscore, n)],
+                       axis=-1).reshape(n, 2 * k)  # columns in the row order of u
+        gu = (gab.T @ zv).reshape(k, 2, -1)
+        gz = gm @ wd + gab @ u
         if w_self is not None:
             gs = gs.reshape(n, k * h)
             gz = gz + gs @ ws
             _accum(w_self, (gs.T @ zv).reshape(w_self.shape))
         _accum(z, gz)
         _accum(w_d, (gm.T @ zv).reshape(w_d.shape))
-        _accum(w_a, (gt.T @ zv).reshape(w_a.shape))
-        _accum(b, np.matmul(gab.transpose(1, 2, 0), t).reshape(b.shape))  # (K, 2, H)
+        _accum(w_a, np.matmul(halves.transpose(0, 2, 1), gu))
+        _accum(b, np.matmul(gu, w_a.value.transpose(0, 2, 1)).reshape(b.shape))  # (K, 2, H)
 
     out._backward = bwd
     return out

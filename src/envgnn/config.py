@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if not 1.0 / self.tau <= sys.float_info.max:  # tau < ~5.6e-309; the gate divides by it
+            raise ValueError(f"tau must have a finite reciprocal, got {self.tau!r}")
         if self.reg_weight < 0:
             raise ValueError("reg_weight must be nonnegative")
         if self.lr <= 0:

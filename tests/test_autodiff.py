@@ -3,6 +3,7 @@ hand-computed oracles, gradients against central finite differences."""
 
 import gc
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -546,6 +547,65 @@ def test_gat_mixture_gradients_with_one_weight_for_messages_and_attention():
 
     fd_check(lambda p: ad.sum_all(ad.mul(layer(p), layer(p))),
              {"z": theta["z"], "w_d": theta["w_d"], "b": theta["b"]})
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_attention_scores_from_folded_vectors_match_the_unfolded_product(k):
+    # (z W_a[k]^T) b_k, the transform first, as the scores were computed before the fold
+    rng = Rng(96 + k)
+    h, h_in = 8, 6
+    z, w_a, b = rng.normal((11, h_in)), rng.normal((k, h, h_in)), 0.5 * rng.normal((k, 2 * h, 1))
+    u, alpha, beta = ad._attention_scores(z, w_a, b.reshape(k, 2, h))
+    assert u.shape == (2 * k, h_in) and alpha.shape == beta.shape == (11, k)
+    for j in range(k):
+        t = z @ w_a[j].T
+        np.testing.assert_allclose(alpha[:, j], t @ b[j, :h, 0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(beta[:, j], t @ b[j, h:, 0], rtol=0, atol=1e-13)
+
+
+def _gather_dots(gz_d, z, src, dst):
+    """The attention-weight gradient as computed before edge blocking: one
+    (K, E, H_in) gather of target rows, contracted with the source rows."""
+    return np.einsum("kei,ei->ek", np.take(gz_d, dst, axis=1), np.take(z, src, axis=0))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_edge_dots_equal_the_gather_einsum_bit_for_bit(k):
+    rng = Rng(97 + k)
+    n, h_in, e = 50, 9, 2 * ad._EDGE_BLOCK + 37
+    src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
+    gz_d, z = rng.normal((k, n, h_in)), rng.normal((n, h_in))
+    assert e % ad._EDGE_BLOCK and e % 7  # each leaves a last, partial block
+    want = _gather_dots(gz_d, z, src, dst)
+    for block in (1, 7, ad._EDGE_BLOCK, e, e + 5):
+        got = ad._edge_dots(gz_d, z, src, dst, block)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), block
+    loop = np.array([[sum(gz_d[j, dst[i], c] * z[src[i], c] for c in range(h_in))
+                      for j in range(k)] for i in range(e)])
+    assert np.abs(ad._edge_dots(gz_d, z, src, dst) - loop).max() <= 1e-12
+
+
+def test_gat_mixture_backward_allocates_no_branch_by_edge_gather():
+    # an edge-heavy layer (E = 51 N) at hidden 32: the (K, E, H) gather of the
+    # attention-weight gradient alone would take K * E * H * 8 bytes
+    k, n, h, links = 3, 400, 32, 10_000
+    rng = Rng(98)
+    src, dst = rng.integers(0, n, links), rng.integers(0, n, links)
+    loops = np.arange(n)
+    edges = EdgeIndex.from_coo(n, np.concatenate([src, dst, loops]),
+                               np.concatenate([dst, src, loops]))
+    p = {"z": parameter(rng.normal((n, h))), "e": parameter(rng.uniform((n, k)))}
+    p.update((role, parameter(rng.normal((k, h, h)))) for role in ("w_d", "w_self", "w_a"))
+    p["b"] = parameter(0.1 * rng.normal((k, 2 * h, 1)))
+    loss = ad.sum_all(_gat_mixture(edges, p))
+    tracemalloc.start()  # after the forward: only what the backward allocates is traced
+    try:
+        ad.backward(loss, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather = k * edges.num_edges * h * 8
+    assert peak < gather, (peak, gather)
 
 
 @pytest.mark.parametrize("n_edges, gates, k_self, k_att, b_rows", [

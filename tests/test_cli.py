@@ -320,6 +320,15 @@ def test_train_non_finite_or_zero_epoch_flag_is_usage_error(tmp_path, data_dir, 
     assert f"{field} must be" in capsys.readouterr().err
 
 
+def test_train_subnormal_tau_is_usage_error(tmp_path, data_dir, capsys):
+    # 1 / 1e-320 overflows: the gate would abort the run with a non-finite 'scale'
+    out = str(tmp_path / "run")
+    assert main(["train", "--data", data_dir, "--out", out, "--tau", "1e-320"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "tau must have a finite reciprocal" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 # a learning rate, weight decay or patience out of range, and the message naming it
 BAD_RATES = [("lr", -0.01, "lr must be positive"), ("lr", 0, "lr must be positive"),
              ("lr_env", -0.01, "lr_env must be nonnegative"),
@@ -837,6 +846,8 @@ def _per_branch_layout(payload):
                  id="config-field-non-finite"),
     pytest.param(lambda p: p["config"].__setitem__("epochs", 0), "epochs must be >= 1",
                  id="config-zero-epochs"),
+    pytest.param(lambda p: p["config"].__setitem__("tau", 1e-320),
+                 "tau must have a finite reciprocal", id="config-subnormal-tau"),
     *[pytest.param(lambda p, f=field, v=value: p["config"].__setitem__(f, v), named,
                    id=f"config-{field}-{value}") for field, value, named in BAD_RATES],
     pytest.param(lambda p: p["params"]["phi_out"]["values"].__setitem__(1, math.nan),

@@ -84,6 +84,14 @@ def test_config_rejects_nonpositive_gumbel_temperature(tau):
         TrainConfig(tau=tau)
 
 
+@pytest.mark.parametrize("tau", [1e-320, 5e-324])
+def test_config_rejects_gumbel_temperature_without_finite_reciprocal(tau):
+    # positive, but 1 / tau overflows to inf in gumbel_sample
+    with pytest.raises(ValueError, match="tau must have a finite reciprocal"):
+        TrainConfig(tau=tau)
+    TrainConfig(tau=1e-308)  # subnormal, but 1 / tau = 1e308 is finite
+
+
 def test_gumbel_rows_sum_to_one():
     pi = constant(np.full((50, 4), 0.25))
     e = gumbel_sample(pi, 1.0, Rng(6).substream(STREAM_GUMBEL).gumbel((50, 4)))
