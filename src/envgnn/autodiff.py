@@ -14,14 +14,14 @@ Stochastic draws (dropout masks, any noise supplied by the caller) are
 captured at forward time and treated as constants by the backward pass.
 
 ``gat_mixture`` scatters without ``np.add.at``. It takes a
-``sparse.EdgeIndex`` built once per graph: its attention-weighted sums are
-CSR products ``A_dst(w) @ msgs`` over the target-ordered layout, and their
-``msgs`` gradients ``A_src(w) @ g`` over the source-ordered one. Its edge
-softmax shifts scores by ``EdgeIndex.segment_max``; its denominators and the
-per-node sums of score gradients are one ``np.bincount`` per column. Both
-orders are stable sorts of the edge list and ``bincount`` adds in index order,
-so every per-node sum adds the same terms in the same order as an
-``np.add.at`` scatter over the edge list, and results are bitwise equal to it.
+``sparse.EdgeIndex`` built once per graph, whose edges are stored in target
+order, the CSR layout of a per-edge weight matrix ``A(w)``: its
+attention-weighted sums are the products ``A(w) @ msgs``, and their ``msgs``
+gradients the transpose products ``A(w).T @ g``. Its edge softmax shifts
+scores by ``EdgeIndex.segment_max``; its denominators and the per-node sums
+of score gradients are one ``np.bincount`` per column. The products and
+``bincount`` add each node's terms in stored edge order, as an ``np.add.at``
+scatter over the stored edge list does, so results are bitwise equal to it.
 
 Nothing in ``gat_mixture`` is K*E*H in size. Its attention scores are
 products of z with score vectors folded from ``W_a[k]^T b[k]``, and the

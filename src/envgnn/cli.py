@@ -439,7 +439,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite value becomes a NumericError in the tape's own
+        # check, so numpy's overflow warnings would only repeat the reason
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         _say(f"usage error: {exc}")
         parser.print_usage(sys.stderr)

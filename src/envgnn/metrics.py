@@ -58,15 +58,14 @@ def roc_auc(scores, true) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("roc_auc needs both classes present")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
+    # a run of equal sorted scores spans [bounds[g], bounds[g + 1]), 0-based;
+    # its members share the average 1-based rank of that span
+    starts = np.r_[True, sorted_scores[1:] != sorted_scores[:-1]]
+    bounds = np.r_[np.flatnonzero(starts), len(scores)]
+    run = np.cumsum(starts) - 1
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
     rank_sum_pos = ranks[true == 1].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

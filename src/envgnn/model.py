@@ -44,11 +44,11 @@ class GraphTensors:
 
     GCN propagates through ``adj``, a normalized CSR adjacency. GAT attends
     over ``edges``: every stored edge in both directions plus one self loop
-    per node, with stable target- and source-ordered CSR row layouts.
-    ``gat_mixture`` reuses that layout every step, as weighted CSR
-    products and ``reduceat`` segment maxima; the stable orders make each
-    per-node sum add its terms in edge order, exactly as an ``np.add.at``
-    scatter over the edge list would.
+    per node, stored in one stable target order, the CSR row layout of the
+    attention matrix. ``gat_mixture`` reuses that layout every step, as
+    weighted CSR products, their transposes and ``reduceat`` segment maxima;
+    each per-node sum adds its terms in stored edge order, exactly as an
+    ``np.add.at`` scatter over the edge list would.
     """
 
     n: int

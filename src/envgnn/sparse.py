@@ -1,6 +1,6 @@
 """Sparse graph operands: a CSR adjacency with per-edge normalization
-coefficients (GCN propagation) and a directed edge list with precomputed
-row orderings (GAT attention)."""
+coefficients (GCN propagation) and a directed edge list stored in target
+order, the CSR layout of its per-edge weights (GAT attention)."""
 
 from __future__ import annotations
 
@@ -44,59 +44,57 @@ class SparseAdj:
 
 
 class EdgeIndex:
-    """Directed edge list ``src[e] -> dst[e]`` with fixed CSR orderings.
+    """Directed edge list ``src[e] -> dst[e]`` stored in target order.
 
-    ``by_dst`` and ``by_src`` are stable sorts of the edge ids by target and
-    by source; ``dst_ptr`` and ``src_ptr`` are their row pointers. Per-edge
-    weights change every step but the structure does not, so a weighted
-    scatter is one CSR product over a matrix assembled from these arrays.
-    Within each row the edges keep their original order (the sorts are
-    stable), so each row sum adds the same terms in the same order as an
-    ``np.add.at`` scatter over the edge list, and the result is bitwise equal.
+    ``from_coo`` sorts the edges stably by target once, so ``dst`` is
+    nondecreasing and the edges into node ``v`` are ``dst_ptr[v]`` to
+    ``dst_ptr[v + 1]``, in their input order. With per-edge weights ``w``
+    (which change every step, while the structure does not) this is the CSR
+    layout of ``A(w)``, ``A[dst[e], src[e]] = w[e]``: a scatter to targets is
+    ``A(w) @ x``, one to sources the transpose product ``A(w).T @ x``. Both
+    add each node's terms in stored edge order, as an ``np.add.at`` scatter
+    over ``src`` and ``dst`` does, so they are bitwise equal to it.
     """
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
-        """From int64 endpoint vectors already checked by ``from_coo``."""
+        """From int64 endpoint vectors already checked and sorted by ``from_coo``."""
         self.n, self.src, self.dst = n, src, dst
         self.num_links = int(np.count_nonzero(src != dst))  # self loops excluded
         # scipy keeps int32 indices as given, and would otherwise scan and
         # downcast int64 ones on every product
         idx = np.int32 if max(n, src.size) < 2**31 else np.int64
-        # numpy's stable sort of 8- or 16-bit keys is a linear-time radix sort
-        key = np.min_scalar_type(max(n - 1, 0))
-        self.by_dst = np.argsort(dst.astype(key), kind="stable")
-        self.by_src = np.argsort(src.astype(key), kind="stable")
-        self.dst_ptr = _row_pointer(dst, n, idx)
-        self.src_ptr = _row_pointer(src, n, idx)
-        self._src_by_dst = src[self.by_dst].astype(idx)
-        self._dst_by_src = dst[self.by_src].astype(idx)
+        self.dst_ptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(dst, minlength=n), out=self.dst_ptr[1:])
+        self._cols = src.astype(idx)
 
     @classmethod
     def from_coo(cls, n: int, src, dst) -> "EdgeIndex":
-        """The edges ``src[e] -> dst[e]`` of an ``n``-node graph, in this order."""
+        """The edges ``src[e] -> dst[e]`` of an ``n``-node graph, stably sorted by target."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape or src.ndim != 1:
             raise DimensionError("edge source and target lists must be equal-length vectors")
         if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
             raise DimensionError(f"edge endpoint out of range [0, {n})")
-        return cls(int(n), src, dst)
+        # numpy's stable sort of 8- or 16-bit keys is a linear-time radix sort
+        order = np.argsort(dst.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+        return cls(int(n), src[order], dst[order])
 
     @property
     def num_edges(self) -> int:
         return self.src.size
 
+    def _matrix(self, w: np.ndarray) -> sp.csr_matrix:
+        """``A(w)``: the CSR matrix with ``A[dst[e], src[e]] = w[e]``."""
+        return sp.csr_matrix((w, self._cols, self.dst_ptr), shape=(self.n, self.n))
+
     def scatter_to_dst(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``out[dst[e]] += w[e] * x[src[e]]``, as the product ``A_dst(w) @ x``."""
-        a = sp.csr_matrix((w[self.by_dst], self._src_by_dst, self.dst_ptr),
-                          shape=(self.n, self.n))
-        return a @ x
+        """``out[dst[e]] += w[e] * x[src[e]]``, as the product ``A(w) @ x``."""
+        return self._matrix(w) @ x
 
     def scatter_to_src(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``out[src[e]] += w[e] * x[dst[e]]``, as the product ``A_src(w) @ x``."""
-        a = sp.csr_matrix((w[self.by_src], self._dst_by_src, self.src_ptr),
-                          shape=(self.n, self.n))
-        return a @ x
+        """``out[src[e]] += w[e] * x[dst[e]]``, as the product ``A(w).T @ x``."""
+        return self._matrix(w).T @ x
 
     def segment_max(self, v: np.ndarray) -> np.ndarray:
         """Per target node, the max of ``v`` over its incoming edges, for
@@ -105,12 +103,5 @@ class EdgeIndex:
         starts = self.dst_ptr[:-1]
         filled = starts < self.dst_ptr[1:]
         if filled.any():
-            out[filled] = np.maximum.reduceat(np.take(v, self.by_dst, axis=0), starts[filled],
-                                              axis=0)
+            out[filled] = np.maximum.reduceat(v, starts[filled], axis=0)
         return out
-
-
-def _row_pointer(rows: np.ndarray, n: int, dtype) -> np.ndarray:
-    ptr = np.zeros(n + 1, dtype=dtype)
-    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-    return ptr

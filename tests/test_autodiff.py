@@ -487,15 +487,19 @@ def test_gcn_mixture_without_self_term_is_the_plain_propagation():
 # ---------------------------------------------------------------------------
 
 
-def random_edges(seed, n=9, e=40):
-    """A random edge list with repeated pairs; nodes n-2 and n-1 receive no
-    edge (n-1 sends none either)."""
+def random_coo(seed, n=9, e=40):
+    """``(n, src, dst)`` of a random edge list, out of target order, with
+    repeated pairs; nodes n-2 and n-1 receive no edge (n-1 sends none either)."""
     rng = Rng(seed)
     src = rng.integers(0, n - 1, e)
     dst = rng.integers(0, n - 2, e)
     src[e // 2:] = src[: e - e // 2]  # repeat the first half's pairs
     dst[e // 2:] = dst[: e - e // 2]
-    return EdgeIndex.from_coo(n, src, dst)
+    return n, src, dst
+
+
+def random_edges(seed, n=9, e=40):
+    return EdgeIndex.from_coo(*random_coo(seed, n, e))
 
 
 def add_at(idx, vals, n):
@@ -721,13 +725,21 @@ def test_segment_max_equals_loop_exactly(seed):
     np.testing.assert_array_equal(edges.segment_max(vk), expect)
 
 
-def test_edge_index_orders_are_stable():
-    edges = random_edges(7)
-    for order, ptr, key in ((edges.by_dst, edges.dst_ptr, edges.dst),
-                            (edges.by_src, edges.src_ptr, edges.src)):
-        for u in range(edges.n):
-            np.testing.assert_array_equal(order[ptr[u]:ptr[u + 1]],
-                                          np.flatnonzero(key == u))
+def test_edge_index_stores_edges_in_stable_target_order():
+    n, src_in, dst_in = random_coo(7)
+    e = src_in.size
+    assert (np.diff(dst_in) < 0).any()  # given out of target order
+    edges = EdgeIndex.from_coo(n, src_in, dst_in)
+    order = np.argsort(dst_in, kind="stable")
+    np.testing.assert_array_equal(edges.src, src_in[order])
+    np.testing.assert_array_equal(edges.dst, dst_in[order])
+    assert (np.diff(edges.dst) >= 0).all()
+    ptr = edges.dst_ptr
+    assert ptr[0] == 0 and ptr[-1] == e and ptr.shape == (n + 1,)
+    for v in range(n):
+        np.testing.assert_array_equal(edges.dst[ptr[v]:ptr[v + 1]], v)
+    assert ptr[n - 2] == ptr[n] == e  # the last two nodes receive no edge
+    assert edges.num_links == np.count_nonzero(src_in != dst_in)
 
 
 # ---------------------------------------------------------------------------

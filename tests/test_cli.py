@@ -6,6 +6,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -877,24 +879,51 @@ def test_checkpoint_not_text_exits_compat(tmp_path, data_dir, capsys, command):
     assert f"incompatible checkpoint: {ckpt}: not valid JSON" in capsys.readouterr().err
 
 
-def test_eval_overflowing_checkpoint_exits_numeric(tmp_path, data_dir, run_dir):
+def overflowing_checkpoint(tmp_path, run_dir) -> str:
+    """A copy of ``run_dir``'s checkpoint whose input projection overflows."""
     def blow_up(payload):
         rec = payload["params"]["phi_in"]
         rec["values"] = [1e308] * len(rec["values"])
 
     ckpt = str(tmp_path / "huge.json")
     _edit_checkpoint(os.path.join(run_dir, "checkpoint.json"), ckpt, blow_up)
-    rc = main(["eval", "--data", data_dir, "--checkpoint", ckpt,
-               "--out", str(tmp_path / "e")])
+    return ckpt
+
+
+def test_eval_overflowing_checkpoint_exits_numeric(tmp_path, data_dir, run_dir):
+    ckpt = overflowing_checkpoint(tmp_path, run_dir)
+    rc = main(["eval", "--data", data_dir, "--checkpoint", ckpt, "--out", str(tmp_path / "e")])
     assert rc == EXIT_NUMERIC
+
+
+def run_python(args, timeout=120):
+    """This interpreter in a fresh process, importing the ``envgnn`` under test."""
+    src = os.path.dirname(os.path.dirname(envgnn.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("case", ["train-huge-lr", "eval-overflowing-checkpoint"])
+def test_numeric_abort_prints_one_line(tmp_path, data_dir, run_dir, case):
+    # in a fresh process, stderr is what a user sees: the reason, and no numpy
+    # RuntimeWarning (message and source line) ahead of it
+    if case == "train-huge-lr":
+        argv = ["train", "--data", data_dir, "--epochs", "3", "--hidden", "8", "--lr", "1e300"]
+        reason = "numerical abort: "
+    else:
+        ckpt = overflowing_checkpoint(tmp_path, run_dir)
+        argv = ["eval", "--data", data_dir, "--checkpoint", ckpt]
+        reason = "numerical failure: "
+    out = run_python(["-m", "envgnn.cli"] + argv + ["--out", str(tmp_path / "out")])
+    assert out.returncode == EXIT_NUMERIC
+    assert out.stderr.count("\n") == 1 and out.stderr.startswith(reason), out.stderr
 
 
 def test_main_pins_malloc_so_freed_blocks_are_reused(tmp_path):
     """After ``main`` a freed 8 MiB block is reused without page faults; under
     glibc's default thresholds each reallocation is mapped afresh and faults."""
     import ctypes
-    import subprocess
-    import sys
     if getattr(ctypes.CDLL(None), "mallopt", None) is None:
         pytest.skip("C library has no mallopt")
     code = f"""
@@ -908,8 +937,6 @@ for _ in range(10):
     np.ones(1 << 20).sum()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
 """
-    src = os.path.dirname(os.path.dirname(envgnn.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
+    out = run_python(["-c", code], timeout=60)
+    out.check_returncode()
     assert int(out.stdout.split()[-1]) < 50
