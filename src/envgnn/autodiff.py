@@ -1,27 +1,28 @@
 """Reverse-mode differentiation over a fixed set of dense/sparse primitives.
 
 This is not a general autodiff system: it supports exactly the operations the
-models in this package need: dense matmul, CSR propagation (``spmm``),
-activations, softmax, dropout, cross-entropy, a few reductions, and one gated
-mixture layer per backbone, ``gcn_mixture`` and ``gat_mixture``. Every
-primitive records its inputs and a backward closure on the implicit tape
-formed by the ``Tensor`` graph; ``backward`` replays it in reverse
-topological order, visiting each node once.
+models in this package need: dense matmul and transpose, elementwise add, mul
+and scale, relu, row softmax and log-softmax, dropout, cross-entropy, a masked
+row mean, and one gated mixture layer per backbone, ``gcn_mixture`` and
+``gat_mixture``. Every primitive records its inputs and a backward closure on
+the implicit tape formed by the ``Tensor`` graph; ``backward`` replays it in
+reverse topological order, visiting each node once.
 
 All values are 64-bit floats. Every primitive checks its output for NaN/Inf
 and raises ``NumericError`` instead of letting non-finite values propagate.
 Stochastic draws (dropout masks, any noise supplied by the caller) are
 captured at forward time and treated as constants by the backward pass.
 
-``gat_mixture`` scatters without ``np.add.at``. It takes a
-``sparse.EdgeIndex`` built once per graph, whose edges are stored in target
-order, the CSR layout of a per-edge weight matrix ``A(w)``: its
+Both mixtures take the graph's one ``sparse.SparseAdj``, a CSR matrix whose
+rows are targets. ``gcn_mixture`` propagates through its normalized values.
+``gat_mixture`` ignores them and scatters without ``np.add.at``: with
+per-entry attention weights ``w`` the structure is ``A(w)``, its
 attention-weighted sums are the products ``A(w) @ msgs``, and their ``msgs``
 gradients the transpose products ``A(w).T @ g``. Its edge softmax shifts
-scores by ``EdgeIndex.segment_max``; its denominators and the per-node sums
+scores by ``SparseAdj.segment_max``; its denominators and the per-node sums
 of score gradients are one ``np.bincount`` per column. The products and
-``bincount`` add each node's terms in stored edge order, as an ``np.add.at``
-scatter over the stored edge list does, so results are bitwise equal to it.
+``bincount`` add each node's terms in stored entry order, as an ``np.add.at``
+scatter over the stored entries does, so results are bitwise equal to it.
 
 Nothing in ``gat_mixture`` is K*E*H in size. Its attention scores are
 products of z with score vectors folded from ``W_a[k]^T b[k]``, and the
@@ -43,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import Rng
-from .sparse import DimensionError, EdgeIndex, SparseAdj
+from .sparse import DimensionError, SparseAdj
 
 
 class NumericError(FloatingPointError):
@@ -228,19 +229,6 @@ def transpose(a) -> Tensor:
     return out
 
 
-def spmm(s: SparseAdj, m) -> Tensor:
-    """Sparse-adjacency times dense matrix; counts stored-edge touches."""
-    m = _lift(m)
-    if s.n != m.value.shape[0]:
-        raise DimensionError(
-            f"spmm shape mismatch: adjacency n={s.n}, matrix rows={m.value.shape[0]}"
-        )
-    edge_touches.add(s.nnz)
-    out = Tensor(s.csr @ m.value, (m,), "spmm")
-    out._backward = lambda g: _accum(m, s.csr.T @ g)
-    return out
-
-
 def relu(a) -> Tensor:
     a = _lift(a)
     pos = a.value > 0
@@ -304,13 +292,6 @@ def dropout(a, p: float, rng: Rng, training: bool) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions and losses
 # ---------------------------------------------------------------------------
-
-
-def sum_all(a) -> Tensor:
-    a = _lift(a)
-    out = Tensor(a.value.sum(), (a,), "sum_all")
-    out._backward = lambda g: _accum(a, np.full(a.shape, float(g)))
-    return out
 
 
 def masked_row_mean(a, rows) -> Tensor:
@@ -442,17 +423,17 @@ def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return out.reshape((n,) + vals.shape[1:])
 
 
-def _attention_softmax(edges: EdgeIndex, s: np.ndarray):
-    """Softmax of (E, K) edge scores over each target's incoming edges, column
-    by column, and its vector-Jacobian product. Scores are shifted by their
-    target's maximum first. Per-target rows are gathered with ``np.take``,
-    several times faster than fancy indexing on (E, K) rows."""
-    dst, n = edges.dst, edges.n
+def _attention_softmax(adj: SparseAdj, s: np.ndarray):
+    """Softmax of (E, K) scores of ``adj``'s stored entries over each target's
+    entries, column by column, and its vector-Jacobian product. Scores are
+    shifted by their target's maximum first. Per-target rows are gathered with
+    ``np.take``, several times faster than fancy indexing on (E, K) rows."""
+    dst, n = adj.dst, adj.n
 
     def at_targets(per_node):  # (N, K) -> (E, K), row dst[i] for edge i
         return np.take(per_node, dst, axis=0)
 
-    ex = np.exp(s - at_targets(edges.segment_max(s)))
+    ex = np.exp(s - at_targets(adj.segment_max(s)))
     d = at_targets(_scatter_rows(dst, ex, n))  # >= 1: each target's max term is exp(0)
     return ex / d, lambda g: (g / d + at_targets(_scatter_rows(dst, -g * ex / (d * d), n))) * ex
 
@@ -494,13 +475,14 @@ def _attention_scores(z: np.ndarray, w_a: np.ndarray, halves: np.ndarray):
     return u, alpha, beta
 
 
-def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
+def gat_mixture(adj: SparseAdj, z, e, w_d, w_self, w_a, b) -> Tensor:
     """Gated GAT mixture ``sum_k e[:, k:k+1] * (A_k z W_d[k]^T + z W_self[k]^T)``
     of K branches under (N, K) gates, as one node; a ``w_self`` of None drops
     the self term.
 
-    ``A_k`` is branch k's attention over ``edges``: edge u -> v weighs the
-    softmax, over v's incoming edges, of the leaky ReLU (slope 0.2) of
+    ``A_k`` is branch k's attention over the stored entries of ``adj``, whose
+    values it ignores: entry u -> v (row v, column u) weighs the softmax, over
+    row v's entries, of the leaky ReLU (slope 0.2) of
     ``alpha_k[v] + beta_k[u]``, where ``alpha_k`` and ``beta_k`` are
     ``z W_a[k]^T`` times the first and second half of the (2H, 1) vector
     ``b[k]``, scored from folded vectors by ``_attention_scores``: neither
@@ -511,30 +493,31 @@ def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
 
     The K message and self transforms are one matmul each over (K*H, H_in)
     views of the (K, H, H_in) weights, and the scores of all branches one
-    (E, K) array; each branch is one weighted CSR product, so one call counts
-    K touches of every edge between distinct nodes. The attention weights'
-    gradient is taken per branch in blocks of edges (``_edge_dots``); no
-    (K, E, H_in) array exists.
+    (E, K) array; each branch is one product with ``adj``'s CSR structure
+    under its attention weights, so one call counts K touches of every stored
+    entry between distinct nodes. The attention weights' gradient is taken
+    per branch in blocks of edges (``_edge_dots``); no (K, E, H_in) array
+    exists.
     ``w_a`` may be ``w_d``: their gradients add up.
     """
-    z, e, w_d, w_self = _mixture_operands("gat_mixture", edges.n, z, e, w_d, w_self)
+    z, e, w_d, w_self = _mixture_operands("gat_mixture", adj.n, z, e, w_d, w_self)
     w_a, b = _lift(w_a), _lift(b)
     zv, (n, k), h = z.value, e.shape, w_d.shape[1]
     if w_a.shape != w_d.shape or b.shape != (k, 2 * h, 1):
         raise DimensionError(f"gat_mixture: w_d {w_d.shape}, w_a {w_a.shape}, b {b.shape}")
-    src, dst = edges.src, edges.dst
+    src, dst = adj.src, adj.dst
     wd = w_d.value.reshape(k * h, -1)
     halves = b.value.reshape(k, 2, h)  # b[k, :H] and b[k, H:]
     u, alpha, beta = _attention_scores(zv, w_a.value, halves)
     raw = np.take(alpha, dst, axis=0) + np.take(beta, src, axis=0)  # (E, K)
     slope = _leaky_slope(raw)
-    att, softmax_vjp = _attention_softmax(edges, raw * slope)
+    att, softmax_vjp = _attention_softmax(adj, raw * slope)
     msgs = zv @ wd.T
     ws = None if w_self is None else w_self.value.reshape(k * h, -1)
     branches = np.zeros((n, k, h)) if ws is None else (zv @ ws.T).reshape(n, k, h)
     for j in range(k):
-        branches[:, j] += edges.scatter_to_dst(att[:, j], msgs[:, j * h:(j + 1) * h])
-    edge_touches.add(k * edges.num_links)
+        branches[:, j] += adj.scatter_to_dst(att[:, j], msgs[:, j * h:(j + 1) * h])
+    edge_touches.add(k * adj.num_links)
     mixed, branch_grad = _gate(e, branches)
     out = Tensor(mixed, tuple(p for p in (z, e, w_d, w_self, w_a, b) if p is not None),
                  "gat_mixture")
@@ -545,7 +528,7 @@ def gat_mixture(edges: EdgeIndex, z, e, w_d, w_self, w_a, b) -> Tensor:
         gs = branch_grad(g)
         gm = np.empty((n, k * h))
         for j in range(k):
-            gm[:, j * h:(j + 1) * h] = edges.scatter_to_src(att[:, j], gs[:, j])
+            gm[:, j * h:(j + 1) * h] = adj.scatter_to_src(att[:, j], gs[:, j])
         # d/d att[i, j] = <gs_j[dst_i], msgs_j[src_i]> = <(gs_j W_d[j])[dst_i], z[src_i]>
         gz_d = np.matmul(gs.transpose(1, 0, 2), w_d.value)  # (K, N, H_in)
         gscore = softmax_vjp(_edge_dots(gz_d, zv, src, dst)) * slope

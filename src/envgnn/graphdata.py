@@ -261,7 +261,9 @@ def save_graph(directory: str, g: Graph) -> None:
 
 
 def build_norm_adj(g: Graph, add_self_loops: bool = False) -> SparseAdj:
-    """Symmetric CSR with entries 1/sqrt(d_u d_v).
+    """Symmetric CSR with entries 1/sqrt(d_u d_v), the one sparse operand of
+    both backbones: GAT attends over the self-looped structure and ignores
+    the values.
 
     Degrees are taken after optional self-loop insertion; self-loop mode adds
     stored entries (u, u). Zero-degree nodes without self-loops get an empty

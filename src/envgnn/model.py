@@ -34,45 +34,37 @@ from .autodiff import Tensor, constant, parameter
 from .config import TrainConfig
 from .graphdata import Graph, build_norm_adj
 from .rng import Rng
-from .sparse import EdgeIndex, SparseAdj
+from .sparse import SparseAdj
 
 
 @dataclass
 class GraphTensors:
-    """Per-graph operands, prepared once; each backbone gets the one sparse
-    structure it reads.
+    """Per-graph operands, prepared once for the backbone named by ``backbone``.
 
-    GCN propagates through ``adj``, a normalized CSR adjacency. GAT attends
-    over ``edges``: every stored edge in both directions plus one self loop
-    per node, stored in one stable target order, the CSR row layout of the
-    attention matrix. ``gat_mixture`` reuses that layout every step, as
-    weighted CSR products, their transposes and ``reduceat`` segment maxima;
-    each per-node sum adds its terms in stored edge order, exactly as an
-    ``np.add.at`` scatter over the edge list would.
+    ``adj`` is the graph's one sparse operand, for both backbones: the
+    normalized adjacency of ``build_norm_adj``, each stored edge in both
+    directions. GCN propagates through its normalized values; erm's operand
+    carries one self loop per node, canet's none. GAT always attends over the
+    self-looped operand, erm's GCN adjacency, and ignores its values: every
+    step, ``gat_mixture`` puts attention weights on its stored entries.
     """
 
     n: int
     features: Tensor
-    adj: SparseAdj | None  # GCN only; self loops for erm, none for canet
-    edges: EdgeIndex | None  # GAT only; directed incidences incl. self loops
-    stored_edges: int  # symmetric stored entries, self loops excluded
+    adj: SparseAdj
+    backbone: str
+
+    @property
+    def stored_edges(self) -> int:
+        """Stored entries between distinct nodes: twice the undirected edges."""
+        return self.adj.num_links
 
 
 def prepare_graph(g: Graph, cfg: TrainConfig) -> GraphTensors:
-    adj = edges = None
-    if cfg.backbone == "gcn":
-        adj = build_norm_adj(g, add_self_loops=cfg.method == "erm")
-    else:
-        e, loops = g.edges, np.arange(g.n)
-        edges = EdgeIndex.from_coo(g.n, np.concatenate([e[:, 1], e[:, 0], loops]),
-                                   np.concatenate([e[:, 0], e[:, 1], loops]))
-    return GraphTensors(
-        n=g.n,
-        features=constant(g.features),
-        adj=adj,
-        edges=edges,
-        stored_edges=2 * len(g.edges),
-    )
+    """The operands of ``g`` under ``cfg``'s backbone and method; only GCN canet
+    propagates without self loops."""
+    adj = build_norm_adj(g, add_self_loops=cfg.backbone == "gat" or cfg.method == "erm")
+    return GraphTensors(n=g.n, features=constant(g.features), adj=adj, backbone=cfg.backbone)
 
 
 class ParamSet:
@@ -186,9 +178,9 @@ def moe_preact(z: Tensor, gt: GraphTensors, e: Tensor, params: ParamSet, layer: 
     weight ``w_d`` is also its GAT attention weight, and its gate is all ones."""
     w_d, w_self, w_a, b = (params.tensors.get(f"l{layer}.{role}")
                            for role in ("w_d", "w_self", "w_a", "b"))
-    if gt.adj is not None:
+    if gt.backbone == "gcn":
         return ad.gcn_mixture(gt.adj, z, e, w_d, w_self)
-    return ad.gat_mixture(gt.edges, z, e, w_d, w_self, w_d if w_a is None else w_a, b)
+    return ad.gat_mixture(gt.adj, z, e, w_d, w_self, w_d if w_a is None else w_a, b)
 
 
 def _posterior(z: Tensor, params: ParamSet, layer: int, gumbel_rng: Rng,
@@ -219,9 +211,8 @@ def forward(gt: GraphTensors, params: ParamSet, gumbel_rng: Rng, dropout_rng: Rn
     cfg = params.cfg
     if params.in_dim != gt.features.value.shape[1]:
         raise ValueError("feature dimension does not match phi_in")
-    prepared = "gcn" if gt.adj is not None else "gat"
-    if prepared != cfg.backbone:
-        raise ValueError(f"graph tensors were prepared for {prepared}, "
+    if gt.backbone != cfg.backbone:
+        raise ValueError(f"graph tensors were prepared for {gt.backbone}, "
                          f"the model's backbone is {cfg.backbone}")
     posterior = None if cfg.method == "erm" else []
     e = constant(np.ones((gt.n, 1))) if posterior is None else None  # erm's gate

@@ -1,8 +1,10 @@
-"""Sparse graph operands: a CSR adjacency with per-edge normalization
-coefficients (GCN propagation) and a directed edge list stored in target
-order, the CSR layout of its per-edge weights (GAT attention)."""
+"""The sparse graph operand of both backbones: a square CSR matrix whose rows
+are targets. GCN propagates through its stored normalization values; GAT
+reads only its structure and weighs the stored entries by attention."""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,10 +15,17 @@ class DimensionError(ValueError):
 
 
 class SparseAdj:
-    """Square CSR adjacency used as the propagation operand.
+    """Square adjacency in canonical CSR form: row ``v`` holds the entries
+    ``A[v, u]`` of edges ``u -> v``, sources ascending, duplicates summed.
 
-    The stored values carry the normalization coefficients (e.g.
-    1/sqrt(d_u d_v)), so propagation is a single sparse-dense product.
+    GCN's stored values are the normalization coefficients (e.g.
+    1/sqrt(d_u d_v)), so propagation is a single sparse-dense product. GAT
+    puts its own per-entry weights ``w`` (which change every step, while the
+    structure does not) on the same ``indices``/``indptr``: ``A(w)`` has
+    ``A[dst[e], src[e]] = w[e]``, a scatter to targets is ``A(w) @ x`` and one
+    to sources the transpose product ``A(w).T @ x``. Both add each node's
+    terms in stored entry order, as an ``np.add.at`` scatter over ``src`` and
+    ``dst`` does, so they are bitwise equal to it.
     """
 
     def __init__(self, csr: sp.csr_matrix):
@@ -24,9 +33,15 @@ class SparseAdj:
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, values) -> "SparseAdj":
-        m = sp.csr_matrix(
-            (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(n, n)
-        )
+        """The ``n``-node matrix with entries ``A[rows[i], cols[i]] += values[i]``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != values.shape:
+            raise DimensionError("entry rows, columns and values must be equal-length vectors")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise DimensionError(f"entry index out of range [0, {n})")
+        m = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
         m.sum_duplicates()
         return cls(m)
 
@@ -38,70 +53,44 @@ class SparseAdj:
     def nnz(self) -> int:
         return int(self.csr.nnz)
 
+    @property
+    def src(self) -> np.ndarray:
+        """The source (column) of each stored entry."""
+        return self.csr.indices
+
+    @cached_property
+    def dst(self) -> np.ndarray:
+        """The target (row) of each stored entry, nondecreasing."""
+        indptr = self.csr.indptr
+        return np.repeat(np.arange(self.n, dtype=indptr.dtype), np.diff(indptr))
+
+    @cached_property
+    def num_links(self) -> int:
+        """Stored entries between distinct nodes: self loops excluded."""
+        return int(np.count_nonzero(self.src != self.dst))
+
     def densify(self) -> np.ndarray:
-        """Dense reconstruction; the independent oracle for spmm."""
+        """Dense reconstruction; the independent oracle for propagation."""
         return self.csr.toarray()
 
-
-class EdgeIndex:
-    """Directed edge list ``src[e] -> dst[e]`` stored in target order.
-
-    ``from_coo`` sorts the edges stably by target once, so ``dst`` is
-    nondecreasing and the edges into node ``v`` are ``dst_ptr[v]`` to
-    ``dst_ptr[v + 1]``, in their input order. With per-edge weights ``w``
-    (which change every step, while the structure does not) this is the CSR
-    layout of ``A(w)``, ``A[dst[e], src[e]] = w[e]``: a scatter to targets is
-    ``A(w) @ x``, one to sources the transpose product ``A(w).T @ x``. Both
-    add each node's terms in stored edge order, as an ``np.add.at`` scatter
-    over ``src`` and ``dst`` does, so they are bitwise equal to it.
-    """
-
-    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
-        """From int64 endpoint vectors already checked and sorted by ``from_coo``."""
-        self.n, self.src, self.dst = n, src, dst
-        self.num_links = int(np.count_nonzero(src != dst))  # self loops excluded
-        # scipy keeps int32 indices as given, and would otherwise scan and
-        # downcast int64 ones on every product
-        idx = np.int32 if max(n, src.size) < 2**31 else np.int64
-        self.dst_ptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(dst, minlength=n), out=self.dst_ptr[1:])
-        self._cols = src.astype(idx)
-
-    @classmethod
-    def from_coo(cls, n: int, src, dst) -> "EdgeIndex":
-        """The edges ``src[e] -> dst[e]`` of an ``n``-node graph, stably sorted by target."""
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape or src.ndim != 1:
-            raise DimensionError("edge source and target lists must be equal-length vectors")
-        if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-            raise DimensionError(f"edge endpoint out of range [0, {n})")
-        # numpy's stable sort of 8- or 16-bit keys is a linear-time radix sort
-        order = np.argsort(dst.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
-        return cls(int(n), src[order], dst[order])
-
-    @property
-    def num_edges(self) -> int:
-        return self.src.size
-
-    def _matrix(self, w: np.ndarray) -> sp.csr_matrix:
-        """``A(w)``: the CSR matrix with ``A[dst[e], src[e]] = w[e]``."""
-        return sp.csr_matrix((w, self._cols, self.dst_ptr), shape=(self.n, self.n))
+    def _weighted(self, w: np.ndarray) -> sp.csr_matrix:
+        """``A(w)``: this structure with the per-entry weights ``w``."""
+        return sp.csr_matrix((w, self.csr.indices, self.csr.indptr), shape=self.csr.shape)
 
     def scatter_to_dst(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``out[dst[e]] += w[e] * x[src[e]]``, as the product ``A(w) @ x``."""
-        return self._matrix(w) @ x
+        return self._weighted(w) @ x
 
     def scatter_to_src(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``out[src[e]] += w[e] * x[dst[e]]``, as the product ``A(w).T @ x``."""
-        return self._matrix(w).T @ x
+        return self._weighted(w).T @ x
 
     def segment_max(self, v: np.ndarray) -> np.ndarray:
-        """Per target node, the max of ``v`` over its incoming edges, for
-        (E,) or (E, K) ``v`` column by column; -inf where a node has none."""
+        """Per target node, the max of ``v`` over its stored entries, for
+        (nnz,) or (nnz, K) ``v`` column by column; -inf where a row is empty."""
         out = np.full((self.n,) + v.shape[1:], -np.inf)
-        starts = self.dst_ptr[:-1]
-        filled = starts < self.dst_ptr[1:]
+        starts = self.csr.indptr[:-1]
+        filled = starts < self.csr.indptr[1:]
         if filled.any():
             out[filled] = np.maximum.reduceat(v, starts[filled], axis=0)
         return out

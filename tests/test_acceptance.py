@@ -32,6 +32,8 @@ from envgnn.rng import Rng, STREAM_DROPOUT, STREAM_GUMBEL, STREAM_INIT
 from envgnn.shiftgen import PlantedConfig, gen_planted_dataset
 from envgnn.trainer import disjoint_union, kl_exact_rows, regularizer, train
 
+from tape_helpers import spmm
+
 
 _node = None
 
@@ -168,7 +170,7 @@ def test_accept_04_single_branch_collapse(small_planted):
         z = ad.matmul(gt.features, ad.transpose(hand["phi_in"]))
         for l in (1, 2):
             pre = ad.add(
-                ad.spmm(gt.adj, ad.matmul(z, ad.transpose(hand[f"l{l}.w_d"]))),
+                spmm(gt.adj, ad.matmul(z, ad.transpose(hand[f"l{l}.w_d"]))),
                 ad.matmul(z, ad.transpose(hand[f"l{l}.w_self"])),
             )
             z = ad.add(ad.relu(pre), z)

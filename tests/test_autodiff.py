@@ -1,8 +1,10 @@
 """Tests for the reverse-mode tape: primitive values against closed-form or
 hand-computed oracles, gradients against central finite differences."""
 
+import ast
 import gc
 import inspect
+import os
 import tracemalloc
 import weakref
 
@@ -14,7 +16,10 @@ from envgnn.autodiff import NumericError, Tensor, constant, parameter
 from envgnn.gradcheck import per_branch
 from envgnn.optim import finite_diff_grad
 from envgnn.rng import Rng
-from envgnn.sparse import DimensionError, EdgeIndex, SparseAdj
+from envgnn.sparse import DimensionError, SparseAdj
+
+import tape_helpers
+from tape_helpers import spmm, sum_all
 
 
 def fd_check(build, theta, tol=1e-6, h=1e-5):
@@ -65,8 +70,8 @@ def test_matmul_shape_mismatch():
 def test_matmul_gradients():
     rng = Rng(0)
     fd_check(
-        lambda p: ad.sum_all(ad.mul(ad.matmul(p["a"], p["b"]),
-                                    ad.matmul(p["a"], p["b"]))),
+        lambda p: sum_all(ad.mul(ad.matmul(p["a"], p["b"]),
+                                 ad.matmul(p["a"], p["b"]))),
         {"a": rng.normal((3, 4)), "b": rng.normal((4, 2))},
     )
 
@@ -75,7 +80,7 @@ def test_transpose_roundtrip_and_grad():
     rng = Rng(1)
     a = rng.normal((2, 5))
     assert np.array_equal(ad.transpose(constant(a)).value, a.T)
-    fd_check(lambda p: ad.sum_all(ad.mul(ad.transpose(p["a"]), ad.transpose(p["a"]))),
+    fd_check(lambda p: sum_all(ad.mul(ad.transpose(p["a"]), ad.transpose(p["a"]))),
              {"a": a})
 
 
@@ -120,7 +125,7 @@ def test_row_max_equals_keepdims_max_exactly(ndim, width):
 
 
 def test_row_softmax_gradient():
-    fd_check(lambda p: ad.sum_all(ad.mul(ad.row_softmax(p["x"]), p["w"])),
+    fd_check(lambda p: sum_all(ad.mul(ad.row_softmax(p["x"]), p["w"])),
              {"x": Rng(3).normal((4, 5)), "w": Rng(4).normal((4, 5))})
 
 
@@ -140,7 +145,7 @@ def test_row_log_softmax_stable_where_softmax_underflows():
 
 
 def test_row_log_softmax_gradient():
-    fd_check(lambda p: ad.sum_all(ad.mul(ad.row_log_softmax(p["x"]), p["w"])),
+    fd_check(lambda p: sum_all(ad.mul(ad.row_log_softmax(p["x"]), p["w"])),
              {"x": Rng(6).normal((4, 5)), "w": Rng(7).normal((4, 5))})
 
 
@@ -159,13 +164,13 @@ def test_relu_equals_where_bit_for_bit_and_keeps_its_mask():
     out = ad.relu(x)
     assert np.array_equal(out.value.view(np.int64), np.where(a > 0, a, 0.0).view(np.int64))
     g = Rng(4).normal(a.shape)
-    grad = ad.backward(ad.sum_all(ad.mul(out, constant(g))), {"x": x})["x"]
+    grad = ad.backward(sum_all(ad.mul(out, constant(g))), {"x": x})["x"]
     assert np.array_equal(grad.view(np.int64), (g * (a > 0)).view(np.int64))
 
 
 def test_activation_gradients_away_from_kink():
     x = np.array([[-2.0, -0.5, 0.7, 3.0]])
-    fd_check(lambda p: ad.sum_all(ad.relu(p["x"])), {"x": x})
+    fd_check(lambda p: sum_all(ad.relu(p["x"])), {"x": x})
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +204,7 @@ def test_dropout_bad_probability():
 def test_dropout_gradient_uses_frozen_mask():
     x = parameter(Rng(13).normal((8, 8)))
     out = ad.dropout(x, 0.4, Rng(14), training=True)
-    loss = ad.sum_all(out)
+    loss = sum_all(out)
     grads = ad.backward(loss, {"x": x})
     # gradient is exactly the inverted-dropout mask
     mask = out.value / np.where(x.value != 0, x.value, 1.0)
@@ -274,18 +279,18 @@ def test_masked_row_mean_value_and_grad():
 
 def test_sum_all_grad_is_ones():
     w = parameter(Rng(19).normal((3, 4)))
-    grads = ad.backward(ad.sum_all(w), {"w": w})
+    grads = ad.backward(sum_all(w), {"w": w})
     assert np.array_equal(grads["w"], np.ones((3, 4)))
 
 
 def test_add_broadcast_gradient():
-    fd_check(lambda p: ad.sum_all(ad.mul(ad.add(p["a"], p["b"]),
-                                         ad.add(p["a"], p["b"]))),
+    fd_check(lambda p: sum_all(ad.mul(ad.add(p["a"], p["b"]),
+                                      ad.add(p["a"], p["b"]))),
              {"a": Rng(21).normal((4, 3)), "b": Rng(22).normal((1, 3))})
 
 
 def test_scale_gradient():
-    fd_check(lambda p: ad.sum_all(ad.scale(p["a"], -2.5)),
+    fd_check(lambda p: sum_all(ad.scale(p["a"], -2.5)),
              {"a": Rng(25).normal((3, 3))})
 
 
@@ -305,13 +310,13 @@ def _random_adj(n, rng, p=0.4):
 
 def test_spmm_empty_adjacency():
     s = SparseAdj.from_coo(3, [], [], [])
-    out = ad.spmm(s, constant(np.ones((3, 2))))
+    out = spmm(s, constant(np.ones((3, 2))))
     assert np.array_equal(out.value, np.zeros((3, 2)))
 
 
 def test_spmm_single_edge_swaps():
     s = SparseAdj.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
-    out = ad.spmm(s, constant([[5.0], [7.0]]))
+    out = spmm(s, constant([[5.0], [7.0]]))
     assert np.array_equal(out.value, [[7.0], [5.0]])
 
 
@@ -319,29 +324,29 @@ def test_spmm_matches_densify_oracle():
     rng = Rng(26)
     s = _random_adj(8, rng)
     m = rng.normal((8, 3))
-    out = ad.spmm(s, constant(m))
+    out = spmm(s, constant(m))
     assert np.abs(out.value - s.densify() @ m).max() <= 1e-12
 
 
 def test_spmm_gradient():
     rng = Rng(27)
     s = _random_adj(6, rng)
-    fd_check(lambda p: ad.sum_all(ad.mul(ad.spmm(s, p["m"]), ad.spmm(s, p["m"]))),
+    fd_check(lambda p: sum_all(ad.mul(spmm(s, p["m"]), spmm(s, p["m"]))),
              {"m": rng.normal((6, 2))})
 
 
 def test_spmm_shape_mismatch():
     s = SparseAdj.from_coo(3, [], [], [])
     with pytest.raises(DimensionError):
-        ad.spmm(s, constant(np.ones((4, 2))))
+        spmm(s, constant(np.ones((4, 2))))
 
 
 def test_spmm_counts_edge_touches():
     rng = Rng(28)
     s = _random_adj(8, rng)
     ad.edge_touches.reset()
-    ad.spmm(s, constant(rng.normal((8, 2))))
-    ad.spmm(s, constant(rng.normal((8, 2))))
+    spmm(s, constant(rng.normal((8, 2))))
+    spmm(s, constant(rng.normal((8, 2))))
     assert ad.edge_touches.count == 2 * s.nnz
     ad.edge_touches.reset()
 
@@ -381,7 +386,7 @@ def _gcn_mixture_chain(adj, p):
     k = p["e"].shape[1]
     out = None
     for j in range(k):
-        branch = ad.add(ad.spmm(adj, ad.matmul(p["z"], ad.transpose(p[f"w_d[{j}]"]))),
+        branch = ad.add(spmm(adj, ad.matmul(p["z"], ad.transpose(p[f"w_d[{j}]"]))),
                         ad.matmul(p["z"], ad.transpose(p[f"w_self[{j}]"])))
         gated = ad.mul(ad.matmul(p["e"], constant(np.eye(k)[:, j:j + 1])), branch)
         out = gated if out is None else ad.add(out, gated)
@@ -391,7 +396,7 @@ def _gcn_mixture_chain(adj, p):
 @pytest.mark.parametrize("k", [1, 3])
 def test_gcn_mixture_gradients(k):
     adj, theta = _mixture_operands(k, 60 + k)
-    fd_check(lambda p: ad.sum_all(ad.mul(_gcn_mixture(adj, p), _gcn_mixture(adj, p))), theta)
+    fd_check(lambda p: sum_all(ad.mul(_gcn_mixture(adj, p), _gcn_mixture(adj, p))), theta)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -403,7 +408,7 @@ def test_gcn_mixture_matches_per_branch_chain(k):
         params = {name: parameter(v) for name, v in operands.items()}
         out = build(adj, params)
         values.append(out.value)
-        grads.append(ad.backward(ad.sum_all(ad.mul(out, g)), params))
+        grads.append(ad.backward(sum_all(ad.mul(out, g)), params))
     assert np.abs(values[0] - values[1]).max() <= 1e-12
     grads[0] = per_branch(grads[0])
     for name in grads[1]:
@@ -432,7 +437,8 @@ def test_mixtures_reject_unstacked_weights():
     with pytest.raises(DimensionError):
         ad.gcn_mixture(SparseAdj.from_coo(4, [0], [1], [1.0]), z, ones, w, None)
     with pytest.raises(DimensionError):
-        ad.gat_mixture(EdgeIndex.from_coo(4, [0], [1]), z, ones, w, None, w, np.zeros((6, 1)))
+        ad.gat_mixture(SparseAdj.from_coo(4, [1], [0], [1.0]), z, ones, w, None, w,
+                       np.zeros((6, 1)))
 
 
 def test_gcn_mixture_counts_edge_touches_per_branch():
@@ -467,19 +473,19 @@ def test_gcn_mixture_without_self_term_is_the_plain_propagation():
         return ad.gcn_mixture(adj, p["z"], ones, p["w_d"], None)
 
     def plain(p):
-        return ad.spmm(adj, ad.matmul(p["z"], ad.transpose(p["w_d[0]"])))
+        return spmm(adj, ad.matmul(p["z"], ad.transpose(p["w_d[0]"])))
 
     values, grads = [], []
     for build, operands in ((mixture, theta), (plain, per_branch(theta))):
         params = {name: parameter(v) for name, v in operands.items()}
         out = build(params)
         values.append(out.value)
-        grads.append(ad.backward(ad.sum_all(ad.mul(out, g)), params))
+        grads.append(ad.backward(sum_all(ad.mul(out, g)), params))
     assert np.abs(values[0] - values[1]).max() <= 1e-12
     grads[0] = per_branch(grads[0])
     for name in grads[1]:
         assert np.abs(grads[0][name] - grads[1][name]).max() <= 1e-12, name
-    fd_check(lambda p: ad.sum_all(ad.mul(mixture(p), mixture(p))), theta)
+    fd_check(lambda p: sum_all(ad.mul(mixture(p), mixture(p))), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +505,10 @@ def random_coo(seed, n=9, e=40):
 
 
 def random_edges(seed, n=9, e=40):
-    return EdgeIndex.from_coo(*random_coo(seed, n, e))
+    """The operand of ``random_coo``'s edges ``src -> dst``, a unit weight
+    each: repeated pairs are one entry, while targets and sources still repeat."""
+    n, src, dst = random_coo(seed, n, e)
+    return SparseAdj.from_coo(n, dst, src, np.ones(e))
 
 
 def add_at(idx, vals, n):
@@ -511,27 +520,27 @@ def add_at(idx, vals, n):
 def _gat_operands(k, seed, with_self=True, h=3):
     """Operands of a K-branch ``gat_mixture`` on directed ``random_edges``
     (an edge's reverse is mostly absent), with nonzero ``b``."""
-    edges = random_edges(seed)
-    pairs = set(zip(edges.src.tolist(), edges.dst.tolist()))
+    adj = random_edges(seed)
+    pairs = set(zip(adj.src.tolist(), adj.dst.tolist()))
     assert any((v, u) not in pairs for u, v in pairs)
     rng = Rng(seed + 1)
-    theta = {"z": rng.normal((edges.n, h)), "e": rng.uniform((edges.n, k))}
+    theta = {"z": rng.normal((adj.n, h)), "e": rng.uniform((adj.n, k))}
     roles = ("w_d", "w_a", "b") + (("w_self",) if with_self else ())
     branches = [(rng.normal((h, h)), rng.normal((h, h)), 0.5 * rng.normal((2 * h, 1)))
                 + ((rng.normal((h, h)),) if with_self else ()) for _ in range(k)]
     theta.update((role, np.stack(ws)) for role, ws in zip(roles, zip(*branches)))
-    return edges, theta
+    return adj, theta
 
 
-def _gat_mixture(edges, p):
-    return ad.gat_mixture(edges, p["z"], p["e"], p["w_d"], p.get("w_self"), p["w_a"], p["b"])
+def _gat_mixture(adj, p):
+    return ad.gat_mixture(adj, p["z"], p["e"], p["w_d"], p.get("w_self"), p["w_a"], p["b"])
 
 
 @pytest.mark.parametrize("with_self", [True, False], ids=["self", "no-self"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_gat_mixture_gradients(k, with_self):
-    edges, theta = _gat_operands(k, 90 + k, with_self)
-    fd_check(lambda p: ad.sum_all(ad.mul(_gat_mixture(edges, p), _gat_mixture(edges, p))),
+    adj, theta = _gat_operands(k, 90 + k, with_self)
+    fd_check(lambda p: sum_all(ad.mul(_gat_mixture(adj, p), _gat_mixture(adj, p))),
              theta)
 
 
@@ -543,13 +552,13 @@ def test_leaky_slope_equals_where_exactly():
 
 def test_gat_mixture_gradients_with_one_weight_for_messages_and_attention():
     # the erm layer: its one weight is both w_d and w_a, under a unit gate
-    edges, theta = _gat_operands(1, 93, with_self=False)
-    ones = constant(np.ones((edges.n, 1)))
+    adj, theta = _gat_operands(1, 93, with_self=False)
+    ones = constant(np.ones((adj.n, 1)))
 
     def layer(p):
-        return ad.gat_mixture(edges, p["z"], ones, p["w_d"], None, p["w_d"], p["b"])
+        return ad.gat_mixture(adj, p["z"], ones, p["w_d"], None, p["w_d"], p["b"])
 
-    fd_check(lambda p: ad.sum_all(ad.mul(layer(p), layer(p))),
+    fd_check(lambda p: sum_all(ad.mul(layer(p), layer(p))),
              {"z": theta["z"], "w_d": theta["w_d"], "b": theta["b"]})
 
 
@@ -596,24 +605,24 @@ def test_gat_mixture_backward_allocates_no_branch_by_edge_gather():
     rng = Rng(98)
     src, dst = rng.integers(0, n, links), rng.integers(0, n, links)
     loops = np.arange(n)
-    edges = EdgeIndex.from_coo(n, np.concatenate([src, dst, loops]),
-                               np.concatenate([dst, src, loops]))
+    adj = SparseAdj.from_coo(n, np.concatenate([dst, src, loops]),
+                             np.concatenate([src, dst, loops]), np.ones(2 * links + n))
     p = {"z": parameter(rng.normal((n, h))), "e": parameter(rng.uniform((n, k)))}
     p.update((role, parameter(rng.normal((k, h, h)))) for role in ("w_d", "w_self", "w_a"))
     p["b"] = parameter(0.1 * rng.normal((k, 2 * h, 1)))
-    loss = ad.sum_all(_gat_mixture(edges, p))
+    loss = sum_all(_gat_mixture(adj, p))
     tracemalloc.start()  # after the forward: only what the backward allocates is traced
     try:
         ad.backward(loss, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    gather = k * edges.num_edges * h * 8
+    gather = k * adj.nnz * h * 8
     assert peak < gather, (peak, gather)
 
 
 @pytest.mark.parametrize("n_edges, gates, k_self, k_att, b_rows", [
-    (6, (7, 2), 2, 2, 6),   # edge index of another graph
+    (6, (7, 2), 2, 2, 6),   # operand of another graph
     (7, (7, 3), 2, 2, 6),   # one gate column per branch
     (7, (6, 2), 2, 2, 6),   # one gate row per node
     (7, (7, 2), 1, 2, 6),   # one self weight per message weight, or none
@@ -622,22 +631,22 @@ def test_gat_mixture_backward_allocates_no_branch_by_edge_gather():
 ])
 def test_gat_mixture_validates_shapes(n_edges, gates, k_self, k_att, b_rows):
     rng = Rng(94)
-    edges = EdgeIndex.from_coo(n_edges, [0], [1])
+    adj = SparseAdj.from_coo(n_edges, [1], [0], [1.0])
     w = constant(rng.normal((2, 3, 3)))
     b = constant(np.zeros((2, b_rows, 1)))
     with pytest.raises(DimensionError):
-        ad.gat_mixture(edges, constant(rng.normal((7, 3))), constant(np.ones(gates)),
+        ad.gat_mixture(adj, constant(rng.normal((7, 3))), constant(np.ones(gates)),
                        w, constant(w.value[:k_self]), constant(w.value[:k_att]), b)
 
 
 def test_gat_mixture_counts_edge_touches_per_branch_without_self_loops():
-    edges = EdgeIndex.from_coo(4, [0, 1, 2, 0, 1, 2, 3], [1, 2, 0, 0, 1, 2, 3])
+    adj = SparseAdj.from_coo(4, [1, 2, 0, 0, 1, 2, 3], [0, 1, 2, 0, 1, 2, 3], np.ones(7))
     rng = Rng(95)
     w = constant(rng.normal((3, 2, 2)))
     b = constant(rng.normal((3, 4, 1)))
     ad.edge_touches.reset()
-    ad.gat_mixture(edges, constant(rng.normal((4, 2))), constant(np.ones((4, 3))), w, w, w, b)
-    assert edges.num_links == 3 and ad.edge_touches.count == 3 * 3
+    ad.gat_mixture(adj, constant(rng.normal((4, 2))), constant(np.ones((4, 3))), w, w, w, b)
+    assert adj.num_links == 3 and ad.edge_touches.count == 3 * 3
     ad.edge_touches.reset()
 
 
@@ -645,26 +654,26 @@ def test_gat_mixture_counts_edge_touches_per_branch_without_self_loops():
 def test_edge_ops_equal_add_at_exactly(seed):
     # the CSR and bincount paths must add the same terms in the same order as
     # np.add.at, so the comparison is exact, not within a tolerance
-    edges = random_edges(seed)
-    n, e = edges.n, edges.num_edges
+    adj = random_edges(seed)
+    n, e = adj.n, adj.nnz
     rng = Rng(seed + 100)
     w, x, vals = rng.normal((e,)), rng.normal((n, 4)), rng.normal((e, 3))
-    np.testing.assert_array_equal(edges.scatter_to_dst(w, x),
-                                  add_at(edges.dst, w[:, None] * x[edges.src], n))
-    np.testing.assert_array_equal(edges.scatter_to_src(w, x),
-                                  add_at(edges.src, w[:, None] * x[edges.dst], n))
-    for idx in (edges.src, edges.dst):
+    np.testing.assert_array_equal(adj.scatter_to_dst(w, x),
+                                  add_at(adj.dst, w[:, None] * x[adj.src], n))
+    np.testing.assert_array_equal(adj.scatter_to_src(w, x),
+                                  add_at(adj.src, w[:, None] * x[adj.dst], n))
+    for idx in (adj.src, adj.dst):
         np.testing.assert_array_equal(ad._scatter_rows(idx, vals, n), add_at(idx, vals, n))
         np.testing.assert_array_equal(ad._scatter_rows(idx, vals[:, 0], n),
                                       add_at(idx, vals[:, 0], n))
 
 
-def edge_softmax_chain(s, g, edges):
+def edge_softmax_chain(s, g, adj):
     """The attention softmax as the per-branch op chain computed it (shift by
     the segment max, exp, scatter-add denominators, gather, divide), with
     ``np.add.at`` scatters; returns the softmax and the gradient of
     ``sum(softmax * g)`` with respect to ``s``."""
-    dst, n = edges.dst, edges.n
+    dst, n = adj.dst, adj.n
     seg_max = np.full(n, -np.inf)
     np.maximum.at(seg_max, dst, s)
     ex = np.exp(s - seg_max[dst])
@@ -675,71 +684,71 @@ def edge_softmax_chain(s, g, edges):
 @pytest.mark.parametrize("seed", range(5))
 def test_edge_softmax_equals_deleted_chain_exactly(seed):
     # gat_mixture's softmax of (E, K) scores, column by column
-    edges = random_edges(seed)
+    adj = random_edges(seed)
     rng = Rng(seed + 300)
-    s, g = rng.normal((edges.num_edges, 3)), rng.normal((edges.num_edges, 3))
-    att, vjp = ad._attention_softmax(edges, s)
+    s, g = rng.normal((adj.nnz, 3)), rng.normal((adj.nnz, 3))
+    att, vjp = ad._attention_softmax(adj, s)
     grad = vjp(g)
     for j in range(3):
-        expect, expect_grad = edge_softmax_chain(s[:, j], g[:, j], edges)
+        expect, expect_grad = edge_softmax_chain(s[:, j], g[:, j], adj)
         np.testing.assert_array_equal(att[:, j], expect)
         np.testing.assert_array_equal(grad[:, j], expect_grad)
 
 
 def test_edge_softmax_gradient():
     rng = Rng(44)
-    edges = random_edges(4)
-    s, w = rng.normal((edges.num_edges, 2)), rng.normal((edges.num_edges, 2))
+    adj = random_edges(4)
+    s, w = rng.normal((adj.nnz, 2)), rng.normal((adj.nnz, 2))
     numeric = finite_diff_grad(
-        lambda v: float((ad._attention_softmax(edges, v["s"])[0] * w).sum()), {"s": s},
+        lambda v: float((ad._attention_softmax(adj, v["s"])[0] * w).sum()), {"s": s},
         h=1e-5)["s"]
-    analytic = ad._attention_softmax(edges, s)[1](w)
+    analytic = ad._attention_softmax(adj, s)[1](w)
     assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
 
 def test_edge_softmax_sums_to_one_per_target_at_extreme_scores():
-    edges = random_edges(5)
-    s = 700.0 * np.sign(Rng(45).normal((edges.num_edges, 2)))  # near the float range unshifted
-    att, _ = ad._attention_softmax(edges, s)
-    sums = add_at(edges.dst, att, edges.n)
-    targets = np.bincount(edges.dst, minlength=edges.n) > 0
+    adj = random_edges(5)
+    s = 700.0 * np.sign(Rng(45).normal((adj.nnz, 2)))  # near the float range unshifted
+    att, _ = ad._attention_softmax(adj, s)
+    sums = add_at(adj.dst, att, adj.n)
+    targets = np.bincount(adj.dst, minlength=adj.n) > 0
     np.testing.assert_allclose(sums[targets], 1.0, atol=1e-12)
     assert not sums[~targets].any() and not targets[-2:].any()
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_segment_max_equals_loop_exactly(seed):
-    edges = random_edges(seed)
-    v = Rng(seed + 200).normal((edges.num_edges,))
-    expect = np.full(edges.n, -np.inf)
-    for i in range(edges.num_edges):
-        expect[edges.dst[i]] = max(expect[edges.dst[i]], v[i])
-    got = edges.segment_max(v)
+    adj = random_edges(seed)
+    v = Rng(seed + 200).normal((adj.nnz,))
+    expect = np.full(adj.n, -np.inf)
+    for i in range(adj.nnz):
+        expect[adj.dst[i]] = max(expect[adj.dst[i]], v[i])
+    got = adj.segment_max(v)
     np.testing.assert_array_equal(got, expect)
     assert np.isneginf(got[-2:]).all()
     # (E, K) scores, column by column
-    vk = Rng(seed + 250).normal((edges.num_edges, 3))
-    expect = np.full((edges.n, 3), -np.inf)
-    for i in range(edges.num_edges):
-        expect[edges.dst[i]] = np.maximum(expect[edges.dst[i]], vk[i])
-    np.testing.assert_array_equal(edges.segment_max(vk), expect)
+    vk = Rng(seed + 250).normal((adj.nnz, 3))
+    expect = np.full((adj.n, 3), -np.inf)
+    for i in range(adj.nnz):
+        expect[adj.dst[i]] = np.maximum(expect[adj.dst[i]], vk[i])
+    np.testing.assert_array_equal(adj.segment_max(vk), expect)
 
 
-def test_edge_index_stores_edges_in_stable_target_order():
+def test_sparse_adj_stores_entries_in_canonical_order():
     n, src_in, dst_in = random_coo(7)
-    e = src_in.size
     assert (np.diff(dst_in) < 0).any()  # given out of target order
-    edges = EdgeIndex.from_coo(n, src_in, dst_in)
-    order = np.argsort(dst_in, kind="stable")
-    np.testing.assert_array_equal(edges.src, src_in[order])
-    np.testing.assert_array_equal(edges.dst, dst_in[order])
-    assert (np.diff(edges.dst) >= 0).all()
-    ptr = edges.dst_ptr
-    assert ptr[0] == 0 and ptr[-1] == e and ptr.shape == (n + 1,)
-    for v in range(n):
-        np.testing.assert_array_equal(edges.dst[ptr[v]:ptr[v + 1]], v)
-    assert ptr[n - 2] == ptr[n] == e  # the last two nodes receive no edge
-    assert edges.num_links == np.count_nonzero(src_in != dst_in)
+    adj = SparseAdj.from_coo(n, dst_in, src_in, np.ones(src_in.size))
+    pairs = sorted(set(zip(dst_in.tolist(), src_in.tolist())))
+    assert len(pairs) < src_in.size  # repeated pairs are summed into one entry
+    assert list(zip(adj.dst.tolist(), adj.src.tolist())) == pairs
+    # targets nondecreasing, sources strictly ascending within a target
+    assert (np.diff(adj.dst) >= 0).all()
+    same = np.diff(adj.dst) == 0
+    assert (np.diff(adj.src)[same] > 0).all()
+    ptr = adj.csr.indptr
+    assert ptr[n - 2] == ptr[n] == adj.nnz  # the last two nodes receive no edge
+    assert (np.bincount(adj.dst) > 1).any() and (np.bincount(adj.src) > 1).any()
+    assert adj.num_links == sum(u != v for u, v in pairs) < adj.nnz  # self loops excluded
 
 
 # ---------------------------------------------------------------------------
@@ -756,20 +765,20 @@ def test_backward_requires_scalar():
 def test_unreached_parameter_gets_zeros():
     w = parameter(np.ones((2, 2)))
     other = parameter(np.ones((3,)))
-    grads = ad.backward(ad.sum_all(w), {"w": w, "other": other})
+    grads = ad.backward(sum_all(w), {"w": w, "other": other})
     assert np.array_equal(grads["other"], np.zeros((3,)))
 
 
 def test_shared_subexpression_accumulates_once_per_path():
     # y = x + x uses x twice; dy/dx = 2
     x = parameter(np.array([3.0]))
-    grads = ad.backward(ad.sum_all(ad.add(x, x)), {"x": x})
+    grads = ad.backward(sum_all(ad.add(x, x)), {"x": x})
     assert np.array_equal(grads["x"], [2.0])
 
 
 def test_repeated_backward_is_stable():
     x = parameter(np.array([2.0]))
-    loss = ad.sum_all(ad.mul(x, x))
+    loss = sum_all(ad.mul(x, x))
     g1 = ad.backward(loss, {"x": x})
     g2 = ad.backward(loss, {"x": x})
     assert np.array_equal(g1["x"], g2["x"])
@@ -785,7 +794,7 @@ def test_nan_detection_on_construction():
 # ---------------------------------------------------------------------------
 
 _ADJ = SparseAdj.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
-_EDGES = EdgeIndex.from_coo(2, [0, 1, 0, 1], [1, 0, 0, 1])
+_LOOPED = SparseAdj.from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0] * 4)
 
 
 def _two_branches(x):
@@ -799,26 +808,57 @@ PRIMITIVES = {
     "scale": lambda x: ad.scale(x, 2.0),
     "matmul": lambda x: ad.matmul(x, x),
     "transpose": ad.transpose,
-    "spmm": lambda x: ad.spmm(_ADJ, x),
+    "spmm": lambda x: spmm(_ADJ, x),
     "gcn_mixture": lambda x: ad.gcn_mixture(_ADJ, x, x, _two_branches(x), _two_branches(x)),
-    "gat_mixture": lambda x: ad.gat_mixture(_EDGES, x, x, _two_branches(x), _two_branches(x),
+    "gat_mixture": lambda x: ad.gat_mixture(_LOOPED, x, x, _two_branches(x), _two_branches(x),
                                             _two_branches(x),
                                             constant([[[0.1], [0.2], [0.3], [0.4]]] * 2)),
     "relu": ad.relu,
     "row_softmax": ad.row_softmax,
     "row_log_softmax": ad.row_log_softmax,
     "dropout": lambda x: ad.dropout(x, 0.5, Rng(0), True),
-    "sum_all": ad.sum_all,
+    "sum_all": sum_all,
     "masked_row_mean": lambda x: ad.masked_row_mean(x, [0]),
     "cross_entropy": lambda x: ad.cross_entropy(x, [0, 1], [0, 1]),
 }
 
 
+def public_functions(module) -> set[str]:
+    return {name for name, f in vars(module).items()
+            if inspect.isfunction(f) and f.__module__ == module.__name__
+            and not name.startswith("_")}
+
+
 def test_every_primitive_has_a_lifetime_case():
-    public = {name for name, f in vars(ad).items()
-              if inspect.isfunction(f) and f.__module__ == ad.__name__
-              and not name.startswith("_")}
+    public = public_functions(ad) | public_functions(tape_helpers)
     assert public - {"backward", "constant", "parameter"} == set(PRIMITIVES)
+
+
+def test_every_public_autodiff_function_is_called_by_the_package():
+    # an unused primitive is dead code; a test-only one belongs in tape_helpers
+    called = set()
+    package = os.path.dirname(ad.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "autodiff.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        imported, aliases = {}, set()  # local name -> autodiff name; names for the module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                imported.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in imported:
+                called.add(imported[f.id])
+            elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                  and f.value.id in aliases):
+                called.add(f.attr)
+    assert public_functions(ad) - called == set()
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))

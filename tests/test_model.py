@@ -8,7 +8,7 @@ from envgnn import autodiff as ad
 from envgnn import model
 from envgnn.autodiff import constant
 from envgnn.config import TrainConfig
-from envgnn.graphdata import Graph
+from envgnn.graphdata import Graph, build_norm_adj
 from envgnn.model import (
     env_probs,
     export_branch_weights,
@@ -193,7 +193,7 @@ def attention_matrix(gt, w_a, b):
     weight both the identity (width N), one branch, a unit gate and no self
     term, the mixture's output is the attention matrix."""
     eye, n = np.eye(gt.n), gt.n
-    return ad.gat_mixture(gt.edges, eye, np.ones((n, 1)), eye[None], None, w_a, b).value
+    return ad.gat_mixture(gt.adj, eye, np.ones((n, 1)), eye[None], None, w_a, b).value
 
 
 def gat_branch_params(n, seed, scale=0.3):
@@ -216,7 +216,7 @@ def test_attention_zero_bias_uniform():
     w_a, _ = gat_branch_params(g.n, 17)
     att = attention_matrix(gt, w_a, constant(np.zeros((1, 2 * g.n, 1))))
     expect = np.zeros((g.n, g.n))
-    expect[gt.edges.dst, gt.edges.src] = 1.0 / (g.degrees + 1)[gt.edges.dst]
+    expect[gt.adj.dst, gt.adj.src] = 1.0 / (g.degrees + 1)[gt.adj.dst]
     assert np.abs(att - expect).max() <= 1e-12
 
 
@@ -246,20 +246,31 @@ def test_attention_isolated_node_attends_to_itself_exactly():
     params["l1.b"].value[0] = 0.4 * Rng(41).normal((8, 1))
     zv = Rng(42).normal((6, 4))
     w_d, w_a, b = (params[f"l1.{role}"].value[:1] for role in ("w_d", "w_a", "b"))
-    out = ad.gat_mixture(gt.edges, constant(zv), constant(np.ones((6, 1))), w_d, None, w_a, b)
+    out = ad.gat_mixture(gt.adj, constant(zv), constant(np.ones((6, 1))), w_d, None, w_a, b)
     np.testing.assert_array_equal(out.value[5], (zv @ w_d[0].T)[5])
     logits = forward(gt, params, Rng(43), Rng(44), training=False).logits.value
     assert np.isfinite(logits).all()
 
 
-def test_prepare_graph_builds_only_the_backbone_operand():
+@pytest.mark.parametrize("method", ["canet", "erm"])
+def test_gat_attends_over_the_self_looped_gcn_adjacency(method):
     g = random_graph(seed=45)
-    gcn = prepare_graph(g, TrainConfig(backbone="gcn"))
-    gat = prepare_graph(g, TrainConfig(backbone="gat"))
-    assert gcn.edges is None and gcn.adj is not None
-    assert gat.adj is None and gat.edges is not None
-    assert gcn.stored_edges == gat.stored_edges == 2 * len(g.edges)
-    assert gat.edges.num_edges == gat.stored_edges + g.n
+    gat = prepare_graph(g, TrainConfig(backbone="gat", method=method))
+    looped = build_norm_adj(g, add_self_loops=True)
+    assert gat.backbone == "gat"
+    np.testing.assert_array_equal(gat.adj.csr.indptr, looped.csr.indptr)
+    np.testing.assert_array_equal(gat.adj.csr.indices, looped.csr.indices)
+    assert gat.adj.nnz == 2 * len(g.edges) + g.n
+
+
+@pytest.mark.parametrize("backbone, method", [
+    ("gcn", "canet"), ("gcn", "erm"), ("gat", "canet"), ("gat", "erm"),
+])
+def test_stored_edges_counts_the_operands_links(backbone, method):
+    g = random_graph(seed=46)
+    gt = prepare_graph(g, TrainConfig(backbone=backbone, method=method))
+    off_diagonal = np.count_nonzero(gt.adj.src != gt.adj.dst)
+    assert gt.stored_edges == gt.adj.num_links == off_diagonal == 2 * len(g.edges)
 
 
 def test_moe_gat_matches_naive_loop():
@@ -296,7 +307,7 @@ def test_gat_mixture_matches_naive_loop(with_self):
         zv, ev = rng.normal((g.n, 4)), rng.uniform((g.n, k))
         w_d, w_self, w_a = (rng.normal((k, 4, 4)) for _ in range(3))
         b = 0.4 * rng.normal((k, 8, 1))
-        out = ad.gat_mixture(gt.edges, constant(zv), constant(ev), w_d,
+        out = ad.gat_mixture(gt.adj, constant(zv), constant(ev), w_d,
                              w_self if with_self else None, w_a, b)
         expect = np.zeros((g.n, 4))
         for j in range(k):
@@ -440,7 +451,7 @@ def test_training_step_holds_one_mixture_node_per_layer(monkeypatch, backbone, m
     assert calls == [1, 2, 3]
     assert ops.count(f"{backbone}_mixture") == 3
     assert len(ops) == NODES_PER_STEP[backbone, method]
-    assert not ({"gcn_mixture", "gat_mixture", "spmm"} - {f"{backbone}_mixture"}) & set(ops)
+    assert not ({"gcn_mixture", "gat_mixture"} - {f"{backbone}_mixture"}) & set(ops)
 
 
 def test_baseline_gcn_hand_fixture():
@@ -469,8 +480,8 @@ def test_baseline_gat_zero_bias_is_mean_aggregation():
     z = g.features @ params["phi_in"].value.T
     msgs = z @ params["l1.w_d"].value[0].T
     agg = np.zeros_like(z)
-    for i in range(len(gt.edges.dst)):
-        agg[gt.edges.dst[i]] += msgs[gt.edges.src[i]] / (g.degrees[gt.edges.dst[i]] + 1)
+    for i in range(gt.adj.nnz):
+        agg[gt.adj.dst[i]] += msgs[gt.adj.src[i]] / (g.degrees[gt.adj.dst[i]] + 1)
     expect = (np.maximum(agg, 0.0) + z) @ params["phi_out"].value.T
     assert np.abs(out.logits.value - expect).max() <= 1e-10
 

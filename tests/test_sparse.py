@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from envgnn.rng import Rng
-from envgnn.sparse import DimensionError, EdgeIndex, SparseAdj
+from envgnn.sparse import DimensionError, SparseAdj
 
 
 def test_from_coo_roundtrip():
@@ -54,4 +54,9 @@ def test_densify_matches_manual_reconstruction():
 @pytest.mark.parametrize("src, dst", [([0, 3], [1, 0]), ([0, -1], [1, 0]), ([0, 1], [1])])
 def test_edge_index_rejects_bad_endpoints(src, dst):
     with pytest.raises(DimensionError):
-        EdgeIndex.from_coo(3, src, dst)
+        SparseAdj.from_coo(3, dst, src, np.ones(len(src)))
+
+
+def test_from_coo_rejects_a_value_per_entry_mismatch():
+    with pytest.raises(DimensionError):
+        SparseAdj.from_coo(3, [0, 1], [1, 0], [1.0])
