@@ -11,7 +11,7 @@ import tempfile
 import numpy as np
 
 from envgnn.config import TrainConfig
-from envgnn.model import export_branch_weights, import_branch_weights
+from envgnn.model import export_branch_weights
 from envgnn.shiftgen import PlantedConfig, gen_planted_dataset
 from envgnn.trainer import train
 
@@ -25,7 +25,7 @@ def main():
     paths = export_branch_weights(result.params, layer=1, out_dir=out_dir)
     print(f"wrote {len(paths)} matrices to {out_dir}")
     for path in paths:
-        w = import_branch_weights(path)
+        w = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         print(f"  {os.path.basename(path)}: shape {w.shape}, "
               f"frobenius norm {np.linalg.norm(w):.3f}")
 

@@ -8,6 +8,14 @@ row mean, and one gated mixture layer per backbone, ``gcn_mixture`` and
 the implicit tape formed by the ``Tensor`` graph; ``backward`` replays it in
 reverse topological order, visiting each node once.
 
+Gradient lifetime: ``backward`` releases an intermediate node's gradient as
+soon as its closure has passed it on to the node's inputs, so at most the
+gradients still waiting on their closures are resident at once. Parameters
+keep theirs. The closures stay on the tape, so the same tape can be replayed
+by a second ``backward`` with the same result. A tape is freed by reference
+counting when its last node goes out of scope: no closure refers to its own
+output.
+
 All values are 64-bit floats. Every primitive checks its output for NaN/Inf
 and raises ``NumericError`` instead of letting non-finite values propagate.
 Stochastic draws (dropout masks, any noise supplied by the caller) are
@@ -147,6 +155,9 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss for every registered parameter.
 
     Parameters not reached by the tape get zero gradients of matching shape.
+    Each intermediate node's gradient is released once its closure has run;
+    afterwards only parameter leaves hold a ``.grad``. The closures are kept,
+    so calling ``backward`` again on the same loss gives the same gradients.
     """
     if loss.value.size != 1:
         raise ValueError("backward root must be a scalar")
@@ -158,6 +169,7 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
     out = {}
     for name, p in params.items():
         if id(p) in reached and p.grad is not None:

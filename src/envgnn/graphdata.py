@@ -153,9 +153,6 @@ class Dataset:
     def metric(self) -> str:
         return self.metadata.get("metric", "accuracy")
 
-    def id_node_count(self) -> int:
-        return sum(g.n for g in self.id_graphs)
-
 
 # ---------------------------------------------------------------------------
 # graph file IO

@@ -246,14 +246,3 @@ def export_branch_weights(params: ParamSet, layer: int, out_dir: str) -> list[st
                 writer.writerow([repr(float(x)) for x in row])
         paths.append(path)
     return paths
-
-
-def import_branch_weights(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    shape = (int(header[2]), int(header[3]))
-    vals = np.array([[float(x) for x in r] for r in rows[1:]], dtype=np.float64)
-    if vals.shape != shape:
-        raise ValueError(f"csv body {vals.shape} does not match header {shape}")
-    return vals

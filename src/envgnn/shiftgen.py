@@ -185,14 +185,26 @@ def gen_spurious_dataset(base: Graph, cfg: SpuriousGenConfig) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
+_SBM_BLOCK_ROWS = 64
+
+
 def _sbm_edges(labels: np.ndarray, p_intra: float, p_inter: float, rng: Rng) -> np.ndarray:
+    """Upper-triangle SBM edges (i < j) in row-major order.
+
+    The (n, n) uniform matrix is drawn in blocks of rows, so memory is
+    O(n * block). PCG64 fills a block of rows with the same numbers a single
+    (n, n) draw puts there, and row blocks keep ``np.nonzero``'s order, so
+    the edges equal those of one full draw.
+    """
     n = len(labels)
-    u = rng.uniform((n, n))
-    same = labels[:, None] == labels[None, :]
-    prob = np.where(same, p_intra, p_inter)
-    hit = np.triu(u < prob, k=1)
-    rows, cols = np.nonzero(hit)
-    return np.stack([rows, cols], axis=1)
+    blocks = []
+    for lo in range(0, n, _SBM_BLOCK_ROWS):
+        u = rng.uniform((min(_SBM_BLOCK_ROWS, n - lo), n))
+        same = labels[lo:lo + len(u), None] == labels[None, :]
+        hit = np.triu(np.where(same, u < p_intra, u < p_inter), k=1 + lo)
+        rows, cols = np.nonzero(hit)
+        blocks.append(np.stack([rows + lo, cols], axis=1))
+    return np.concatenate(blocks)
 
 
 def _random_nonidentity_permutation(c: int, rng: Rng) -> np.ndarray:

@@ -132,6 +132,13 @@ def _eval_forward(gt: GraphTensors, params: ParamSet) -> np.ndarray:
 
 
 def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
+    """Train on the union of the ID graphs and keep the best validation epoch.
+
+    Each epoch is one full-graph optimizer step followed by an eval forward
+    that scores it. The step's output, loss and gradients are released
+    before the eval forward builds its own tape, so one tape is resident at
+    a time.
+    """
     union = disjoint_union(dataset.id_graphs)
     gt = prepare_graph(union, cfg)
     labels = union.labels
@@ -165,12 +172,15 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             adam_step(main, {n: grads[n] for n in main}, state_main, cfg.lr, cfg.weight_decay)
             if env:
                 adam_step(env, {n: grads[n] for n in env}, state_env, lr_env, cfg.weight_decay)
+            loss_val = float(loss.value)
+            # the step's tape is released before the eval forward builds another
+            del out, loss, grads
             logits = _eval_forward(gt, params)
         except NumericError as exc:
             raise TrainAbort(epoch, str(exc)) from exc
         rec = {
             "epoch": epoch,
-            "loss": float(loss.value),
+            "loss": loss_val,
             "supervised": sup_val,
             "regularizer": reg_val,
             "train_metric": score_split(logits, labels, split.train, metric, c),

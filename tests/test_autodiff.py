@@ -872,3 +872,29 @@ def test_primitive_output_freed_without_cyclic_gc(name):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def tape_nodes(root):
+    """Every node under ``root``, each once: the tape and its leaves."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_backward_leaves_gradients_only_on_parameters(name):
+    # an intermediate gradient is released once its closure has passed it
+    # on; the closures stay, so the tape replays to the same gradients
+    x = parameter([[0.5, 1.0], [2.0, 0.25]])
+    loss = sum_all(ad.scale(PRIMITIVES[name](x), 2.0))
+    nodes = tape_nodes(loss)
+    params = {str(i): t for i, t in enumerate(nodes) if t.op == "param"}
+    first = ad.backward(loss, params)
+    holding = {id(t) for t in nodes if t.grad is not None}
+    assert holding == {id(p) for p in params.values()}
+    second = ad.backward(loss, params)
+    assert all(np.array_equal(first[k], second[k]) for k in params)

@@ -24,7 +24,8 @@ from envgnn.cli import (
 )
 import envgnn
 from envgnn.graphdata import load_dataset, save_graph
-from envgnn.model import import_branch_weights
+
+from branch_csv import import_branch_weights
 
 
 @pytest.fixture(scope="module")

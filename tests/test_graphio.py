@@ -428,7 +428,7 @@ def test_dataset_rejects_mixed_dims():
 
 def test_dataset_offsets_and_pooled_labels():
     ds = make_dataset()
-    assert ds.id_node_count() == 12
+    assert sum(g.n for g in ds.id_graphs) == 12
     union = disjoint_union(ds.id_graphs)
     assert union.n == 12
     assert np.array_equal(union.labels,

@@ -14,12 +14,13 @@ from envgnn.model import (
     export_branch_weights,
     forward,
     gumbel_sample,
-    import_branch_weights,
     init_params,
     moe_preact,
     prepare_graph,
 )
 from envgnn.rng import Rng, STREAM_DROPOUT, STREAM_GUMBEL, STREAM_INIT
+
+from branch_csv import import_branch_weights
 
 
 def random_graph(n=10, d=4, c=3, seed=0, p=0.35):

@@ -1,8 +1,11 @@
 """Synthetic shift-generator tests: shapes, determinism, planted ground truth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from envgnn import shiftgen
 from envgnn.graphdata import Graph, dataset_manifest_hash, save_dataset
 from envgnn.rng import Rng
 from envgnn.shiftgen import (
@@ -97,7 +100,7 @@ def test_planted_shapes_and_counts():
     for g in ds.id_graphs + ds.ood_graphs:
         assert g.n == 60
         assert g.num_features == cfg.stable_dim + cfg.spurious_dim
-    assert ds.id_node_count() == 180
+    assert sum(g.n for g in ds.id_graphs) == 180
     assert len(ds.split.train) + len(ds.split.valid) + len(ds.split.test_id) == 180
 
 
@@ -146,6 +149,44 @@ def test_planted_sbm_homophily():
     same = (g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]).mean()
     # p_intra/p_inter = 10, classes balanced: most edges are intra-class
     assert same > 0.7
+
+
+def sbm_edges_one_draw(labels, p_intra, p_inter, rng):
+    """The reference: one dense (n, n) draw, thresholded, upper triangle."""
+    n = len(labels)
+    u = rng.uniform((n, n))
+    prob = np.where(labels[:, None] == labels[None, :], p_intra, p_inter)
+    rows, cols = np.nonzero(np.triu(u < prob, k=1))
+    return np.stack([rows, cols], axis=1)
+
+
+BLOCK = shiftgen._SBM_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 5])
+@pytest.mark.parametrize("p_intra, p_inter", [(0.3, 0.05), (0.01, 0.2)])
+def test_sbm_edges_in_row_blocks_equal_one_draw(n, p_intra, p_inter):
+    labels = Rng(n).integers(0, 3, n)
+    rng_blocks, rng_once = Rng(11), Rng(11)
+    got = shiftgen._sbm_edges(labels, p_intra, p_inter, rng_blocks)
+    want = sbm_edges_one_draw(labels, p_intra, p_inter, rng_once)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    # the stream is left where one draw leaves it, so later draws agree too
+    assert np.array_equal(rng_blocks.uniform(4), rng_once.uniform(4))
+
+
+def test_sbm_edges_memory_is_far_below_a_dense_draw():
+    # the one-draw reference peaks at about 20 * n**2 bytes here
+    n = 3000
+    labels = Rng(0).integers(0, 3, n)
+    tracemalloc.start()
+    try:
+        shiftgen._sbm_edges(labels, 0.002, 0.0002, Rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n / 2, peak
 
 
 def test_planted_same_seed_same_manifest_hash(tmp_path):

@@ -1,9 +1,13 @@
 """Objective terms, the training loop, evaluation reports, and sweeps."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from envgnn import autodiff as ad
+from envgnn import trainer as trainer_mod
 from envgnn.autodiff import constant
 from envgnn.config import TrainConfig
 from envgnn.graphdata import Graph
@@ -261,7 +265,6 @@ def test_patience_stops_early():
 
 
 def test_numeric_blowup_raises_train_abort(monkeypatch):
-    import envgnn.trainer as trainer_mod
     from envgnn.autodiff import NumericError
 
     calls = {"n": 0}
@@ -289,6 +292,48 @@ def test_lr_env_separates_estimator_rate():
                        ds.num_classes, Rng(5).substream(STREAM_INIT)).values()
     assert np.array_equal(frozen.params["l1.w_env"].value, init["l1.w_env"])
     assert not np.array_equal(moving.params["l1.w_env"].value, init["l1.w_env"])
+
+
+def op_nodes(root):
+    """Every node under ``root`` that a primitive made, each once."""
+    seen, stack, out = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        if node._backward is not None:
+            out.append(node)
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return out
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gat"])
+@pytest.mark.parametrize("method", ["canet", "erm"])
+def test_step_tape_is_freed_before_the_eval_forward(monkeypatch, backbone, method):
+    # with cyclic gc off, a node of the step's tape is gone by the eval
+    # forward only if nothing refers to it any more
+    tape, checked = [], []
+    real_backward, real_eval = ad.backward, trainer_mod._eval_forward
+
+    def recording_backward(loss, params):
+        tape[:] = [weakref.ref(t) for t in op_nodes(loss)]
+        return real_backward(loss, params)
+
+    def checking_eval(gt, params):
+        checked.append(sum(ref() is not None for ref in tape))
+        return real_eval(gt, params)
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    monkeypatch.setattr(trainer_mod, "_eval_forward", checking_eval)
+    cfg = TrainConfig(backbone=backbone, method=method, hidden=8, epochs=3, seed=0)
+    gc.disable()
+    try:
+        train(small_dataset(), cfg)
+    finally:
+        gc.enable()
+    assert tape and len(checked) >= cfg.epochs
+    assert checked == [0] * len(checked)
 
 
 # ---------------------------------------------------------------------------
