@@ -14,7 +14,12 @@ gradients still waiting on their closures are resident at once. Parameters
 keep theirs. The closures stay on the tape, so the same tape can be replayed
 by a second ``backward`` with the same result. A tape is freed by reference
 counting when its last node goes out of scope: no closure refers to its own
-output.
+output. While it lives, a node keeps for its closure only what the backward
+reads, in the smallest exact form: ``gat_mixture`` keeps its attention's
+exp-scores (E, K), per-target denominators (N, K) and the leaky ReLU's sign
+as bools, and recomputes the attention from the first two in the backward,
+bitwise as the forward computed it; ``dropout`` keeps a bool mask and its
+scale.
 
 All values are 64-bit floats. Every primitive checks its output for NaN/Inf
 and raises ``NumericError`` instead of letting non-finite values propagate.
@@ -289,15 +294,18 @@ def row_log_softmax(a) -> Tensor:
 
 
 def dropout(a, p: float, rng: Rng, training: bool) -> Tensor:
-    """Inverted dropout; the mask is drawn once and frozen on the tape."""
+    """Inverted dropout; the mask is drawn once and frozen on the tape as
+    bools. Kept entries are scaled by ``c = 1/(1-p)``: ``mask * c`` is
+    ``(u >= p) / (1 - p)`` bit for bit."""
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must lie in [0, 1)")
     a = _lift(a)
     if not training or p == 0.0:
         return a
-    keep = (rng.uniform(a.value.shape) >= p) / (1.0 - p)
-    out = Tensor(a.value * keep, (a,), "dropout")
-    out._backward = lambda g: _accum(a, g * keep)
+    mask = rng.uniform(a.value.shape) >= p
+    c = 1.0 / (1.0 - p)
+    out = Tensor(a.value * (mask * c), (a,), "dropout")
+    out._backward = lambda g: _accum(a, g * (mask * c))
     return out
 
 
@@ -435,24 +443,46 @@ def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return out.reshape((n,) + vals.shape[1:])
 
 
+class _EdgeSoftmax:
+    """The edge softmax of ``_attention_softmax`` as it is kept: exp-scores
+    ``ex`` (E, K), shifted by their target's maximum, and per-target
+    denominators ``denom`` (N, K). ``attention()`` is ``ex / denom[dst]``,
+    bitwise the same array on every call; calling the object with the
+    attention's gradient gives the scores'. Per-target rows are gathered with
+    ``np.take``, several times faster than fancy indexing on (E, K) rows."""
+
+    __slots__ = ("dst", "n", "ex", "denom")
+
+    def __init__(self, adj: SparseAdj, s: np.ndarray):
+        self.dst, self.n = adj.dst, adj.n
+        self.ex = np.exp(s - self._at_targets(adj.segment_max(s)))
+        self.denom = _scatter_rows(self.dst, self.ex, self.n)  # >= 1: a max term is exp(0)
+
+    def _at_targets(self, per_node: np.ndarray) -> np.ndarray:  # (N, K) -> (E, K)
+        return np.take(per_node, self.dst, axis=0)
+
+    def attention(self) -> np.ndarray:
+        return self.ex / self._at_targets(self.denom)
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        ex, d = self.ex, self._at_targets(self.denom)
+        return (g / d + self._at_targets(_scatter_rows(self.dst, -g * ex / (d * d), self.n))) * ex
+
+
 def _attention_softmax(adj: SparseAdj, s: np.ndarray):
     """Softmax of (E, K) scores of ``adj``'s stored entries over each target's
-    entries, column by column, and its vector-Jacobian product. Scores are
-    shifted by their target's maximum first. Per-target rows are gathered with
-    ``np.take``, several times faster than fancy indexing on (E, K) rows."""
-    dst, n = adj.dst, adj.n
-
-    def at_targets(per_node):  # (N, K) -> (E, K), row dst[i] for edge i
-        return np.take(per_node, dst, axis=0)
-
-    ex = np.exp(s - at_targets(adj.segment_max(s)))
-    d = at_targets(_scatter_rows(dst, ex, n))  # >= 1: each target's max term is exp(0)
-    return ex / d, lambda g: (g / d + at_targets(_scatter_rows(dst, -g * ex / (d * d), n))) * ex
+    entries, column by column, and its vector-Jacobian product: an
+    ``_EdgeSoftmax``, which keeps the exp-scores and the per-target
+    denominators, not the attention or the per-entry denominators, and
+    rebuilds the attention on request."""
+    softmax = _EdgeSoftmax(adj, s)
+    return softmax.attention(), softmax
 
 
 def _leaky_slope(raw: np.ndarray) -> np.ndarray:
     """The leaky ReLU's slope at ``raw``: 1.0 where ``raw > 0``, else 0.2,
-    both exact (0.2 + 0.8 rounds to 1.0)."""
+    both exact (0.2 + 0.8 rounds to 1.0). ``raw`` may be that bool sign
+    itself, the slope's form on the tape."""
     return 0.2 + 0.8 * (raw > 0)
 
 
@@ -510,6 +540,12 @@ def gat_mixture(adj: SparseAdj, z, e, w_d, w_self, w_a, b) -> Tensor:
     entry between distinct nodes. The attention weights' gradient is taken
     per branch in blocks of edges (``_edge_dots``); no (K, E, H_in) array
     exists.
+
+    The node keeps, per stored entry, only the attention's exp-scores and the
+    leaky ReLU's sign as bools, plus the (N, K) per-target denominators
+    (``_EdgeSoftmax``). The backward recomputes the attention from them, after
+    the score gradient's (E, K) transients are released and before the K
+    transpose products that give the messages' gradient.
     ``w_a`` may be ``w_d``: their gradients add up.
     """
     z, e, w_d, w_self = _mixture_operands("gat_mixture", adj.n, z, e, w_d, w_self)
@@ -522,8 +558,8 @@ def gat_mixture(adj: SparseAdj, z, e, w_d, w_self, w_a, b) -> Tensor:
     halves = b.value.reshape(k, 2, h)  # b[k, :H] and b[k, H:]
     u, alpha, beta = _attention_scores(zv, w_a.value, halves)
     raw = np.take(alpha, dst, axis=0) + np.take(beta, src, axis=0)  # (E, K)
-    slope = _leaky_slope(raw)
-    att, softmax_vjp = _attention_softmax(adj, raw * slope)
+    pos = raw > 0
+    att, softmax = _attention_softmax(adj, raw * _leaky_slope(pos))
     msgs = zv @ wd.T
     ws = None if w_self is None else w_self.value.reshape(k * h, -1)
     branches = np.zeros((n, k, h)) if ws is None else (zv @ ws.T).reshape(n, k, h)
@@ -538,14 +574,18 @@ def gat_mixture(adj: SparseAdj, z, e, w_d, w_self, w_a, b) -> Tensor:
     # cycle that keeps the whole tape alive until the cyclic collector runs
     def bwd(g):
         gs = branch_grad(g)
+        # the score branch first, so its (E, K) transients are gone before gm:
+        # d/d att[i, j] = <gs_j[dst_i], msgs_j[src_i]> = <(gs_j W_d[j])[dst_i], z[src_i]>
+        gscore = softmax(_edge_dots(np.matmul(gs.transpose(1, 0, 2), w_d.value), zv, src, dst))
+        gscore *= _leaky_slope(pos)
+        gab = np.stack([_scatter_rows(dst, gscore, n), _scatter_rows(src, gscore, n)],
+                       axis=-1).reshape(n, 2 * k)  # columns in the row order of u
+        del gscore
+        att = softmax.attention()
         gm = np.empty((n, k * h))
         for j in range(k):
             gm[:, j * h:(j + 1) * h] = adj.scatter_to_src(att[:, j], gs[:, j])
-        # d/d att[i, j] = <gs_j[dst_i], msgs_j[src_i]> = <(gs_j W_d[j])[dst_i], z[src_i]>
-        gz_d = np.matmul(gs.transpose(1, 0, 2), w_d.value)  # (K, N, H_in)
-        gscore = softmax_vjp(_edge_dots(gz_d, zv, src, dst)) * slope
-        gab = np.stack([_scatter_rows(dst, gscore, n), _scatter_rows(src, gscore, n)],
-                       axis=-1).reshape(n, 2 * k)  # columns in the row order of u
+        del att
         gu = (gab.T @ zv).reshape(k, 2, -1)
         gz = gm @ wd + gab @ u
         if w_self is not None:

@@ -67,8 +67,15 @@ def _say(msg: str):
     sys.stderr.write(msg + "\n")
 
 
-def _check_out(path: str, force: bool):
-    """Refuse a non-empty ``--out`` without ``--force`` before any work."""
+def _check_out(path: str, force: bool, **inputs: str | None):
+    """Refuse, before any work, an ``--out`` that is or contains one of the
+    ``inputs`` (flag name to path), which emptying it would delete, and a
+    non-empty ``--out`` without ``--force``."""
+    out = os.path.realpath(path)
+    for flag, given in inputs.items():
+        if given is not None and os.path.commonpath([out, os.path.realpath(given)]) == out:
+            raise UsageError(f"--out {path} is or contains --{flag} {given}, "
+                             "which writing the output would delete")
     if os.path.exists(path) and os.listdir(path) and not force:
         raise FileExistsError(f"output directory exists (use --force): {path}")
 
@@ -206,7 +213,7 @@ GEN_FLAGS = [
 
 
 def cmd_gen_data(args) -> int:
-    _check_out(args.out, args.force)
+    _check_out(args.out, args.force, base=args.base)
     planted = args.kind == "planted"
     cls = PlantedConfig if planted else SpuriousGenConfig
     fields = {f.name for f in dataclasses.fields(cls)}
@@ -253,7 +260,7 @@ def _load_train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    _check_out(args.out, args.force)
+    _check_out(args.out, args.force, data=args.data)
     cfg = _load_train_config(args)
     ds = load_dataset(args.data)
     result = train(ds, cfg)
@@ -279,7 +286,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_out(args.out, args.force)
+    _check_out(args.out, args.force, data=args.data)  # the checkpoint may lie in --out
     params, cfg = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
     if params.in_dim != ds.num_features or params.num_classes != ds.num_classes:
@@ -317,7 +324,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_out(args.out, args.force)
+    _check_out(args.out, args.force, data=args.data)
     grid = _load_json_object(args.grid, "--grid")
     not_lists = sorted(k for k, v in grid.items() if not isinstance(v, list))
     if not_lists:

@@ -211,6 +211,22 @@ def test_dropout_gradient_uses_frozen_mask():
     assert np.allclose(grads["x"], mask, atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1 - 2**-52])
+def test_dropout_is_the_inverted_mask_bit_for_bit(p):
+    # a bool mask times the scale 1/(1-p) on the tape, equal to the float
+    # mask (u >= p) / (1 - p) of the same draw, forward and backward
+    rng = Rng(15)
+    x, w = parameter(rng.normal((40, 6))), rng.normal((40, 6))
+    out = ad.dropout(x, p, Rng(16), training=True)
+    keep = (Rng(16).uniform(x.shape) >= p) / (1 - p)
+    assert np.array_equal(out.value.view(np.int64), (x.value * keep).view(np.int64))
+    grad = ad.backward(sum_all(ad.mul(out, constant(w))), {"x": x})["x"]
+    assert np.array_equal(grad.view(np.int64), (w * keep).view(np.int64))
+    held = [c.cell_contents for c in out._backward.__closure__]
+    assert not any(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == x.shape
+                   for a in held)
+
+
 # ---------------------------------------------------------------------------
 # losses and reductions
 # ---------------------------------------------------------------------------
@@ -598,18 +614,27 @@ def test_edge_dots_equal_the_gather_einsum_bit_for_bit(k):
     assert np.abs(ad._edge_dots(gz_d, z, src, dst) - loop).max() <= 1e-12
 
 
-def test_gat_mixture_backward_allocates_no_branch_by_edge_gather():
-    # an edge-heavy layer (E = 51 N) at hidden 32: the (K, E, H) gather of the
-    # attention-weight gradient alone would take K * E * H * 8 bytes
+def _edge_heavy_gat_operands():
+    """An edge-heavy layer (E = 51 N) at hidden 32 with K = 3 branches: its
+    adjacency, with the cached edge properties computed, and parameters."""
     k, n, h, links = 3, 400, 32, 10_000
     rng = Rng(98)
     src, dst = rng.integers(0, n, links), rng.integers(0, n, links)
     loops = np.arange(n)
     adj = SparseAdj.from_coo(n, np.concatenate([dst, src, loops]),
                              np.concatenate([src, dst, loops]), np.ones(2 * links + n))
+    assert len(adj.dst) == adj.nnz and adj.num_links  # cached: inputs, not the node's
     p = {"z": parameter(rng.normal((n, h))), "e": parameter(rng.uniform((n, k)))}
     p.update((role, parameter(rng.normal((k, h, h)))) for role in ("w_d", "w_self", "w_a"))
     p["b"] = parameter(0.1 * rng.normal((k, 2 * h, 1)))
+    return adj, p
+
+
+def test_gat_mixture_backward_allocates_no_branch_by_edge_gather():
+    # the (K, E, H) gather of the attention-weight gradient alone would take
+    # K * E * H * 8 bytes
+    adj, p = _edge_heavy_gat_operands()
+    (n, k), h = p["e"].shape, p["z"].shape[1]
     loss = sum_all(_gat_mixture(adj, p))
     tracemalloc.start()  # after the forward: only what the backward allocates is traced
     try:
@@ -619,6 +644,23 @@ def test_gat_mixture_backward_allocates_no_branch_by_edge_gather():
         tracemalloc.stop()
     gather = k * adj.nnz * h * 8
     assert peak < gather, (peak, gather)
+
+
+def test_gat_mixture_forward_keeps_exp_scores_and_bool_signs_per_edge():
+    # the node keeps its (N, K, H) branch block for the gates' gradient and,
+    # per edge, the exp-scores and the leaky ReLU's sign as bools; the
+    # attention and the per-edge denominators are recomputed in the backward
+    adj, p = _edge_heavy_gat_operands()
+    (n, k), h = p["e"].shape, p["z"].shape[1]
+    tracemalloc.start()  # the inputs exist already: only what the forward makes is traced
+    try:
+        out = _gat_mixture(adj, p)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    budget = n * k * h * 8 + 2 * adj.nnz * k * 8
+    assert held < budget, (held, budget)
+    assert out.value.shape == (n, h)
 
 
 @pytest.mark.parametrize("n_edges, gates, k_self, k_att, b_rows", [

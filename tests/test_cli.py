@@ -75,7 +75,8 @@ def test_gen_data_citation_requires_base(tmp_path):
     assert rc == EXIT_USAGE
 
 
-def test_gen_data_citation_with_base(tmp_path):
+def write_base_graph(path):
+    """A 40-node, 3-feature, 2-class graph for citation-spurious generation."""
     from envgnn.graphdata import Graph
     from envgnn.rng import Rng
 
@@ -83,10 +84,13 @@ def test_gen_data_citation_with_base(tmp_path):
     n = 40
     u = rng.uniform((n, n))
     rows, cols = np.nonzero(np.triu(u < 0.1, k=1))
-    g = Graph(n, rng.normal((n, 3)), rng.integers(0, 2, n),
-              np.stack([rows, cols], axis=1), 2)
-    base = str(tmp_path / "base")
-    save_graph(base, g)
+    save_graph(path, Graph(n, rng.normal((n, 3)), rng.integers(0, 2, n),
+                           np.stack([rows, cols], axis=1), 2))
+    return path
+
+
+def test_gen_data_citation_with_base(tmp_path):
+    base = write_base_graph(str(tmp_path / "base"))
     out = str(tmp_path / "cite")
     rc = main(["gen-data", "--kind", "citation-spurious", "--base", base,
                "--out", out, "--seed", "3"])
@@ -716,6 +720,32 @@ def test_existing_out_without_force_is_refused_before_any_work(tmp_path, kept_ru
     assert main(argv + ["--out", keep]) == EXIT_IO
     assert "output directory exists" in capsys.readouterr().err
     assert dir_bytes(keep) == before
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["ancestor", "same"])
+@pytest.mark.parametrize("command", ["train", "eval", "sweep", "gen-data"])
+def test_out_holding_the_input_is_refused_before_any_work(tmp_path, data_dir, run_dir, command,
+                                                           inside, capsys):
+    # emptying --out for the results would delete the dataset (or base graph)
+    # it holds: --force does not allow that
+    out = str(tmp_path / "out")
+    given = os.path.join(out, "input") if inside else out
+    if command == "gen-data":
+        write_base_graph(given)
+    else:
+        shutil.copytree(data_dir, given)
+    before = dir_bytes(given)
+    argv = {
+        "train": ["train", "--data", given, "--epochs", "1", "--hidden", "4"],
+        "eval": ["eval", "--data", given, "--checkpoint", os.path.join(run_dir, "checkpoint.json")],
+        "sweep": ["sweep", "--data", given, "--grid",
+                  write_file(str(tmp_path / "grid.json"), '{"epochs": [1], "hidden": [4]}')],
+        "gen-data": ["gen-data", "--kind", "citation-spurious", "--base", given],
+    }[command]
+    assert main(argv + ["--out", out, "--force"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--out {out} is or contains" in err and given in err
+    assert dir_bytes(given) == before
 
 
 @pytest.mark.parametrize("force", [[], ["--force"]])
