@@ -1,12 +1,13 @@
 """Reverse-mode differentiation over a fixed set of dense/sparse primitives.
 
 This is not a general autodiff system: it supports exactly the operations the
-models in this package need: dense matmul and transpose, elementwise add, mul
-and scale, relu, row softmax and log-softmax, dropout, cross-entropy, a masked
-row mean, and one gated mixture layer per backbone, ``gcn_mixture`` and
-``gat_mixture``. Every primitive records its inputs and a backward closure on
-the implicit tape formed by the ``Tensor`` graph; ``backward`` replays it in
-reverse topological order, visiting each node once.
+models in this package need: dense matmul and transpose, elementwise add and
+mul of two operands of equal shape (they do not broadcast), scale, relu, row
+softmax and log-softmax, dropout, cross-entropy, a masked row mean, and one
+gated mixture layer per backbone, ``gcn_mixture`` and ``gat_mixture``. Every
+primitive records its inputs and a backward closure on the implicit tape
+formed by the ``Tensor`` graph; ``backward`` replays it in reverse
+topological order, visiting each node once.
 
 Gradient lifetime: ``backward`` releases an intermediate node's gradient as
 soon as its closure has passed it on to the node's inputs, so at most the
@@ -70,9 +71,6 @@ class EdgeTouchCounter:
     def __init__(self):
         self.count = 0
 
-    def reset(self):
-        self.count = 0
-
     def add(self, n: int):
         self.count += int(n)
 
@@ -129,16 +127,6 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad = t.grad + g
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, s in enumerate(shape):
-        if s == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 def _topo(root: Tensor) -> list[Tensor]:
     order, seen, stack = [], set(), [(root, False)]
     while stack:
@@ -189,25 +177,33 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _same_shape(op: str, a, b) -> tuple[Tensor, Tensor]:
+    """The lifted operands of an elementwise op, which must have one shape."""
     a, b = _lift(a), _lift(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: operand shapes {a.shape} and {b.shape} differ")
+    return a, b
+
+
+def add(a, b) -> Tensor:
+    a, b = _same_shape("add", a, b)
     out = Tensor(a.value + b.value, (a, b), "add")
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     out._backward = bwd
     return out
 
 
 def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _same_shape("mul", a, b)
     out = Tensor(a.value * b.value, (a, b), "mul")
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.value, a.shape))
-        _accum(b, _unbroadcast(g * a.value, b.shape))
+        _accum(a, g * b.value)
+        _accum(b, g * a.value)
 
     out._backward = bwd
     return out
@@ -444,11 +440,13 @@ def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 
 class _EdgeSoftmax:
-    """The edge softmax of ``_attention_softmax`` as it is kept: exp-scores
-    ``ex`` (E, K), shifted by their target's maximum, and per-target
-    denominators ``denom`` (N, K). ``attention()`` is ``ex / denom[dst]``,
-    bitwise the same array on every call; calling the object with the
-    attention's gradient gives the scores'. Per-target rows are gathered with
+    """Softmax of (E, K) scores ``s`` of ``adj``'s stored entries over each
+    target's entries, column by column, as it is kept: exp-scores ``ex``
+    (E, K), shifted by their target's maximum, and per-target denominators
+    ``denom`` (N, K), not the attention or per-entry denominators.
+    ``attention()`` is ``ex / denom[dst]``, bitwise the same array on every
+    call; calling the object with the attention's gradient gives the scores'
+    (its vector-Jacobian product). Per-target rows are gathered with
     ``np.take``, several times faster than fancy indexing on (E, K) rows."""
 
     __slots__ = ("dst", "n", "ex", "denom")
@@ -467,16 +465,6 @@ class _EdgeSoftmax:
     def __call__(self, g: np.ndarray) -> np.ndarray:
         ex, d = self.ex, self._at_targets(self.denom)
         return (g / d + self._at_targets(_scatter_rows(self.dst, -g * ex / (d * d), self.n))) * ex
-
-
-def _attention_softmax(adj: SparseAdj, s: np.ndarray):
-    """Softmax of (E, K) scores of ``adj``'s stored entries over each target's
-    entries, column by column, and its vector-Jacobian product: an
-    ``_EdgeSoftmax``, which keeps the exp-scores and the per-target
-    denominators, not the attention or the per-entry denominators, and
-    rebuilds the attention on request."""
-    softmax = _EdgeSoftmax(adj, s)
-    return softmax.attention(), softmax
 
 
 def _leaky_slope(raw: np.ndarray) -> np.ndarray:
@@ -559,7 +547,8 @@ def gat_mixture(adj: SparseAdj, z, e, w_d, w_self, w_a, b) -> Tensor:
     u, alpha, beta = _attention_scores(zv, w_a.value, halves)
     raw = np.take(alpha, dst, axis=0) + np.take(beta, src, axis=0)  # (E, K)
     pos = raw > 0
-    att, softmax = _attention_softmax(adj, raw * _leaky_slope(pos))
+    softmax = _EdgeSoftmax(adj, raw * _leaky_slope(pos))
+    att = softmax.attention()
     msgs = zv @ wd.T
     ws = None if w_self is None else w_self.value.reshape(k * h, -1)
     branches = np.zeros((n, k, h)) if ws is None else (zv @ ws.T).reshape(n, k, h)

@@ -134,13 +134,10 @@ def load_checkpoint(path: str) -> tuple[ParamSet, TrainConfig]:
     that differs, or a parameter holding NaN or an infinity raises
     ``CheckpointError`` naming it.
     """
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # malformed JSON or bytes that are not text
-            raise CheckpointError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"{path}: expected a JSON object")
+    try:
+        payload = read_json_object(path)
+    except ParseError as exc:
+        raise CheckpointError(str(exc)) from None
     for key in ("config", "in_dim", "num_classes", "params"):
         if key not in payload:
             raise CheckpointError(f"{path}: missing field '{key}'")
@@ -260,7 +257,7 @@ def _load_train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    _check_out(args.out, args.force, data=args.data)
+    _check_out(args.out, args.force, data=args.data, config=args.config)
     cfg = _load_train_config(args)
     ds = load_dataset(args.data)
     result = train(ds, cfg)
@@ -324,7 +321,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_out(args.out, args.force, data=args.data)
+    _check_out(args.out, args.force, data=args.data, grid=args.grid, config=args.config)
     grid = _load_json_object(args.grid, "--grid")
     not_lists = sorted(k for k, v in grid.items() if not isinstance(v, list))
     if not_lists:

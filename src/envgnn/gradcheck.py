@@ -1,10 +1,11 @@
 """Whole-model gradient verification against central finite differences.
 
-Builds a small random instance (12 nodes, D=5, H=4, K=3, L=2 by default),
-computes analytic gradients through the tape, and compares them per parameter
-group with the finite-difference oracle. All stochastic draws (Gumbel noise,
-dropout masks) are regenerated from the same sub-stream seeds on every
-evaluation, so they are frozen across the +h/-h probes.
+Builds a small random instance (12 nodes, D=5, C=3, edge probability 0.35)
+and a model of width H=4 (K=3, L=2 by default), computes analytic gradients
+through the tape, and compares them per parameter group with the
+finite-difference oracle. All stochastic draws (Gumbel noise, dropout masks)
+are regenerated from the same sub-stream seeds on every evaluation, so they
+are frozen across the +h/-h probes.
 """
 
 from __future__ import annotations
@@ -20,15 +21,19 @@ from .rng import Rng, STREAM_DATAGEN, STREAM_DROPOUT, STREAM_GUMBEL, STREAM_INIT
 from .trainer import total_loss
 
 
-def random_instance(seed: int, n: int = 12, in_dim: int = 5, num_classes: int = 3,
-                    edge_prob: float = 0.35) -> Graph:
+# the instance, the model width, the finite-difference step and the tolerance
+NODES, IN_DIM, CLASSES, EDGE_PROB = 12, 5, 3, 0.35
+HIDDEN, FD_STEP, TOL = 4, 1e-5, 1e-4
+
+
+def random_instance(seed: int) -> Graph:
     rng = Rng(seed).substream(STREAM_DATAGEN)
-    feats = rng.normal((n, in_dim))
-    labels = rng.integers(0, num_classes, n)
-    u = rng.uniform((n, n))
-    rows, cols = np.nonzero(np.triu(u < edge_prob, k=1))
+    feats = rng.normal((NODES, IN_DIM))
+    labels = rng.integers(0, CLASSES, NODES)
+    u = rng.uniform((NODES, NODES))
+    rows, cols = np.nonzero(np.triu(u < EDGE_PROB, k=1))
     edges = np.stack([rows, cols], axis=1)
-    return Graph(n, feats, labels, edges, num_classes)
+    return Graph(NODES, feats, labels, edges, CLASSES)
 
 
 def per_branch(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -41,11 +46,10 @@ def per_branch(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def run_gradcheck(backbone: str = "gcn", num_branches: int = 3, num_layers: int = 2,
-                  seed: int = 0, hidden: int = 4, h: float = 1e-5,
-                  tol: float = 1e-4) -> dict:
+                  seed: int = 0) -> dict:
     cfg = TrainConfig(
         num_layers=num_layers,
-        hidden=hidden,
+        hidden=HIDDEN,
         num_branches=num_branches,
         tau=1.0,
         reg_weight=1.0,
@@ -65,29 +69,23 @@ def run_gradcheck(backbone: str = "gcn", num_branches: int = 3, num_layers: int 
             t.value = 0.3 * kick.normal(t.value.shape)
     rows = np.arange(g.n)
 
-    def loss_fn(values: dict[str, np.ndarray]) -> float:
+    def loss_at(values: dict[str, np.ndarray]) -> ad.Tensor:
         params.load_values(values)
         root = Rng(seed)  # identical draws on every call: noise is frozen
         out = forward(gt, params, root.substream(STREAM_GUMBEL),
                       root.substream(STREAM_DROPOUT), training=True)
-        loss, _, _ = total_loss(out, g.labels, rows, cfg)
-        return float(loss.value)
+        return total_loss(out, g.labels, rows, cfg)[0]
 
     theta = params.values()
-    root = Rng(seed)
-    params.load_values(theta)
-    out = forward(gt, params, root.substream(STREAM_GUMBEL),
-                  root.substream(STREAM_DROPOUT), training=True)
-    loss, _, _ = total_loss(out, g.labels, rows, cfg)
-    analytic = ad.backward(loss, params.tensors)
-    numeric = finite_diff_grad(loss_fn, theta, h=h)
+    analytic = ad.backward(loss_at(theta), params.tensors)
+    numeric = finite_diff_grad(lambda values: float(loss_at(values).value), theta, h=FD_STEP)
     errors = relative_gradient_error(per_branch(analytic), per_branch(numeric))
     worst = max(errors.values())
     return {
         "backbone": backbone,
         "seed": seed,
-        "tolerance": tol,
+        "tolerance": TOL,
         "errors": errors,
         "max_relative_error": worst,
-        "passed": bool(worst <= tol),
+        "passed": bool(worst <= TOL),
     }

@@ -61,8 +61,9 @@ class ParseError(ValueError):
 class Graph:
     """An undirected graph with node features and integer labels.
 
-    Edges are stored canonically (u < v, each pair once); ``degrees`` counts
-    stored incidences per node. Isolated nodes are permitted.
+    Edges are stored canonically (u < v, each pair once); ``degrees``,
+    computed from them, counts stored incidences per node. Isolated nodes are
+    permitted.
     """
 
     n: int
@@ -70,7 +71,7 @@ class Graph:
     labels: np.ndarray
     edges: np.ndarray
     num_classes: int
-    degrees: np.ndarray = field(default=None)
+    degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -286,19 +287,22 @@ def build_norm_adj(g: Graph, add_self_loops: bool = False) -> SparseAdj:
 # ---------------------------------------------------------------------------
 
 
-def split_random(universe, ratios, seed: int) -> SplitSpec:
-    """Random disjoint train/valid/test split; floors, remainder to train.
-    Refuses a split with an empty part, which no dataset loader accepts."""
+# the train/valid/test_id shares of the ID nodes in a generated split
+ID_RATIOS = (0.5, 0.25, 0.25)
+
+
+def split_random(universe, seed: int) -> SplitSpec:
+    """Random disjoint train/valid/test split by ``ID_RATIOS``; floors,
+    remainder to train. Refuses a split with an empty part, which no dataset
+    loader accepts."""
     universe = np.asarray(universe, dtype=np.int64)
-    if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3:
-        raise ValueError("ratios must be three values summing to 1")
     n = universe.size
-    n_valid = math.floor(ratios[1] * n)
-    n_test = math.floor(ratios[2] * n)
+    n_valid = math.floor(ID_RATIOS[1] * n)
+    n_test = math.floor(ID_RATIOS[2] * n)
     n_train = n - n_valid - n_test  # floor(train) + all remainder
     for part, size in (("train", n_train), ("valid", n_valid), ("test_id", n_test)):
         if size == 0:
-            raise ValueError(f"a split of {n} ID nodes by ratios {tuple(ratios)} "
+            raise ValueError(f"a split of {n} ID nodes by ratios {ID_RATIOS} "
                              f"leaves '{part}' empty")
     perm = universe[Rng(seed).substream(STREAM_SPLIT).permutation(n)]
     train = np.sort(perm[:n_train])

@@ -104,12 +104,6 @@ class MetricsReport:
         vals = [e["value"] for e in self.entries if e["split"].startswith("ood")]
         return float(np.mean(vals)) if vals else None
 
-    def value(self, split: str) -> float:
-        for e in self.entries:
-            if e["split"] == split:
-                return e["value"]
-        raise KeyError(split)
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["ood_mean"] = self.ood_mean

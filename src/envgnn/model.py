@@ -87,9 +87,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     def env_weight(self, layer: int) -> Tensor:
         return self.tensors["w_env" if self.cfg.shared_env else f"l{layer}.w_env"]
 

@@ -8,6 +8,8 @@ import numpy as np
 
 from .autodiff import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
     """Per-parameter first/second moment accumulators and a step counter."""
@@ -24,17 +26,13 @@ def adam_step(
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
-    """One in-place Adam update with bias correction.
+    """One in-place Adam update with bias correction, at the moment decays
+    ``BETA1``, ``BETA2`` and denominator offset ``EPS``.
 
     Weight decay is decoupled: parameters shrink by lr*wd*theta before the
     Adam direction is applied, so the moment estimates see pure gradients.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -43,11 +41,11 @@ def adam_step(
             raise ValueError(f"gradient shape mismatch for '{name}'")
         if weight_decay:
             p.value -= lr * weight_decay * p.value
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - BETA1**t)
+        v_hat = state.v[name] / (1.0 - BETA2**t)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def finite_diff_grad(

@@ -4,9 +4,10 @@ Two generators are provided:
 
 * ``gen_spurious_dataset``: takes an existing labeled graph and fabricates
   per-domain spurious features with one frozen randomly-initialized graph
-  convolution fed by [onehot(label) || onehot(domain)]. Domains 1-3 become
-  ID graphs, domains 4-6 OOD graphs; the shift comes entirely from the
-  domain one-hot input, never from re-randomized weights.
+  convolution fed by [onehot(label) || onehot(domain)]. Of ``NUM_DOMAINS``
+  domains, ``ID_DOMAINS`` (1-3) become ID graphs and ``OOD_DOMAINS`` (4-6)
+  OOD graphs; the shift comes entirely from the domain one-hot input, never
+  from re-randomized weights.
 
 * ``gen_planted_dataset``: a fully controlled benchmark with known ground
   truth. Each environment is a stochastic-block-model graph whose stable
@@ -31,21 +32,19 @@ from .config import reject_non_finite
 from .graphdata import Dataset, Graph, build_norm_adj, split_random
 from .rng import STREAM_DATAGEN, Rng
 
-ID_RATIOS = (0.5, 0.25, 0.25)
+# the citation-spurious domains, 1-based; each is one graph of the dataset
+NUM_DOMAINS, ID_DOMAINS, OOD_DOMAINS = 6, (1, 2, 3), (4, 5, 6)
+# ridge of the linear probes; Monte-Carlo draws of the stable Bayes rate
+PROBE_RIDGE, BAYES_SAMPLES = 1e-3, 20000
 
 
 @dataclass
 class SpuriousGenConfig:
     spurious_dim: int = 0  # 0 means "match the base feature dimension"
-    num_domains: int = 6
-    id_domains: tuple = (1, 2, 3)
-    ood_domains: tuple = (4, 5, 6)
     gcn_layers: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if set(self.id_domains) & set(self.ood_domains):
-            raise ValueError("id and ood domain sets must be disjoint")
         if self.spurious_dim < 0:
             raise ValueError("spurious_dim must be >= 0 (0 = match D)")
         if self.gcn_layers < 1:
@@ -97,12 +96,12 @@ def _onehot(idx: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def linear_probe_accuracy(x_train, y_train, x_test, y_test, num_classes, ridge=1e-3):
+def linear_probe_accuracy(x_train, y_train, x_test, y_test, num_classes):
     """Ridge one-vs-rest probe; the generation-time shift diagnostic."""
     xtr = np.hstack([x_train, np.ones((len(x_train), 1))])
     xte = np.hstack([x_test, np.ones((len(x_test), 1))])
     targets = _onehot(np.asarray(y_train), num_classes)
-    gram = xtr.T @ xtr + ridge * np.eye(xtr.shape[1])
+    gram = xtr.T @ xtr + PROBE_RIDGE * np.eye(xtr.shape[1])
     w = np.linalg.solve(gram, xtr.T @ targets)
     pred = (xte @ w).argmax(axis=1)
     return float((pred == np.asarray(y_test)).mean())
@@ -119,7 +118,7 @@ def gen_spurious_dataset(base: Graph, cfg: SpuriousGenConfig) -> Dataset:
     rng = Rng(cfg.seed).substream(STREAM_DATAGEN)
     adj = build_norm_adj(base, add_self_loops=True).csr
 
-    in_dim = base.num_classes + cfg.num_domains
+    in_dim = base.num_classes + NUM_DOMAINS
     # one weight set for all domains: the shift comes from the domain one-hot
     widths = [in_dim] + [sdim] * cfg.gcn_layers
     weights = [
@@ -130,7 +129,7 @@ def gen_spurious_dataset(base: Graph, cfg: SpuriousGenConfig) -> Dataset:
     label_onehot = _onehot(base.labels, base.num_classes)
 
     def spurious_features(domain: int) -> np.ndarray:
-        dom = np.zeros((base.n, cfg.num_domains))
+        dom = np.zeros((base.n, NUM_DOMAINS))
         dom[:, domain - 1] = 1.0
         h = np.hstack([label_onehot, dom])
         for i, w in enumerate(weights):
@@ -139,21 +138,21 @@ def gen_spurious_dataset(base: Graph, cfg: SpuriousGenConfig) -> Dataset:
                 h = np.maximum(h, 0.0)
         return h
 
-    per_domain = {d: spurious_features(d) for d in (*cfg.id_domains, *cfg.ood_domains)}
+    per_domain = {d: spurious_features(d) for d in (*ID_DOMAINS, *OOD_DOMAINS)}
 
     def domain_graph(d: int) -> Graph:
         feats = np.hstack([base.features, per_domain[d]])
         return Graph(base.n, feats, base.labels, base.edges, base.num_classes)
 
-    id_graphs = [domain_graph(d) for d in cfg.id_domains]
-    ood_graphs = [domain_graph(d) for d in cfg.ood_domains]
+    id_graphs = [domain_graph(d) for d in ID_DOMAINS]
+    ood_graphs = [domain_graph(d) for d in OOD_DOMAINS]
 
     universe = np.arange(sum(g.n for g in id_graphs))
-    split = split_random(universe, ID_RATIOS, cfg.seed)
+    split = split_random(universe, cfg.seed)
 
     # probe: spurious features fit on the first ID domain, scored on the
     # first OOD domain; any accuracy drop documents the planted shift
-    d_id, d_ood = cfg.id_domains[0], cfg.ood_domains[0]
+    d_id, d_ood = ID_DOMAINS[0], OOD_DOMAINS[0]
     probe_id = linear_probe_accuracy(
         per_domain[d_id], base.labels, per_domain[d_id], base.labels, base.num_classes
     )
@@ -169,9 +168,9 @@ def gen_spurious_dataset(base: Graph, cfg: SpuriousGenConfig) -> Dataset:
             "kind": "citation-spurious",
             "seed": cfg.seed,
             "spurious_dim": sdim,
-            "num_domains": cfg.num_domains,
-            "id_domains": list(cfg.id_domains),
-            "ood_domains": list(cfg.ood_domains),
+            "num_domains": NUM_DOMAINS,
+            "id_domains": list(ID_DOMAINS),
+            "ood_domains": list(OOD_DOMAINS),
             "gcn_layers": cfg.gcn_layers,
             "probe_spurious_id_accuracy": probe_id,
             "probe_spurious_ood_accuracy": probe_ood,
@@ -262,7 +261,7 @@ def gen_planted_dataset(cfg: PlantedConfig) -> Dataset:
     ood_graphs = graphs[cfg.num_id_envs :]
 
     universe = np.arange(sum(g.n for g in id_graphs))
-    split = split_random(universe, ID_RATIOS, cfg.seed)
+    split = split_random(universe, cfg.seed)
 
     # diagnostics: probes fit on pooled ID features, scored ID vs first OOD env
     x_id = np.vstack([g.features for g in id_graphs])
@@ -292,14 +291,15 @@ def gen_planted_dataset(cfg: PlantedConfig) -> Dataset:
     return Dataset(id_graphs, ood_graphs, split, metadata)
 
 
-def _stable_bayes_rate(means: np.ndarray, noise: float, rng: Rng, samples: int = 20000) -> float:
-    """Monte-Carlo Bayes accuracy of the stable features alone.
+def _stable_bayes_rate(means: np.ndarray, noise: float, rng: Rng) -> float:
+    """Monte-Carlo Bayes accuracy of the stable features alone, over
+    ``BAYES_SAMPLES`` draws.
 
     Isotropic Gaussian classes with equal priors: the Bayes rule is the
     nearest class mean.
     """
     c, d = means.shape
-    labels = rng.integers(0, c, samples)
-    x = means[labels] + noise * rng.normal((samples, d))
+    labels = rng.integers(0, c, BAYES_SAMPLES)
+    x = means[labels] + noise * rng.normal((BAYES_SAMPLES, d))
     d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     return float((d2.argmin(axis=1) == labels).mean())

@@ -62,8 +62,8 @@ def tv_distance(p, q) -> float:
 
 def test_accept_01_gradcheck_both_backbones():
     t0 = time.perf_counter()
-    results = [run_gradcheck(backbone=b, num_branches=3, num_layers=2, seed=0,
-                             hidden=4, h=1e-5, tol=1e-4) for b in ("gcn", "gat")]
+    results = [run_gradcheck(backbone=b, num_branches=3, num_layers=2, seed=0)
+               for b in ("gcn", "gat")]
     elapsed = time.perf_counter() - t0
     worst = max(r["max_relative_error"] for r in results)
     ok = all(r["passed"] for r in results) and worst <= 1e-4 and elapsed < 30.0
@@ -374,7 +374,7 @@ def test_accept_08_cost_scaling_and_edge_accounting():
     _, gt2, p2, c2 = _timing_instance(e_base, 2 * k_base)
     _, gt3, p3, c3 = _timing_instance(2 * e_base, k_base)
 
-    ad.edge_touches.reset()
+    ad.edge_touches.count = 0
     root = Rng(c1.seed)
     forward(gt1, p1, root.substream(STREAM_GUMBEL),
             root.substream(STREAM_DROPOUT), training=True)

@@ -299,10 +299,14 @@ def test_sum_all_grad_is_ones():
     assert np.array_equal(grads["w"], np.ones((3, 4)))
 
 
-def test_add_broadcast_gradient():
-    fd_check(lambda p: sum_all(ad.mul(ad.add(p["a"], p["b"]),
-                                      ad.add(p["a"], p["b"]))),
-             {"a": Rng(21).normal((4, 3)), "b": Rng(22).normal((1, 3))})
+@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("shapes", [((4, 3), (1, 3)), ((12, 1), (12, 5))])
+def test_elementwise_ops_refuse_unequal_shapes(op, shapes):
+    # add and mul do not broadcast: every package operand pair has one shape
+    a, b = (constant(np.ones(s)) for s in shapes)
+    with pytest.raises(DimensionError) as err:
+        getattr(ad, op)(a, b)
+    assert str(err.value).startswith(f"{op}:") and all(str(s) in str(err.value) for s in shapes)
 
 
 def test_scale_gradient():
@@ -360,11 +364,11 @@ def test_spmm_shape_mismatch():
 def test_spmm_counts_edge_touches():
     rng = Rng(28)
     s = _random_adj(8, rng)
-    ad.edge_touches.reset()
+    ad.edge_touches.count = 0
     spmm(s, constant(rng.normal((8, 2))))
     spmm(s, constant(rng.normal((8, 2))))
     assert ad.edge_touches.count == 2 * s.nnz
-    ad.edge_touches.reset()
+    ad.edge_touches.count = 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +402,15 @@ def _gcn_mixture(adj, p):
 def _gcn_mixture_chain(adj, p):
     """The per-branch chain the primitive replaces, over weights split by
     ``per_branch``: K spmm/matmul/add branches, each gated by its column of ``e``
-    (picked out by a one-hot matmul), added left to right."""
-    k = p["e"].shape[1]
+    (copied into every one of the H columns by a (K, H) selector matmul),
+    added left to right."""
+    k, h = p["e"].shape[1], p["w_d[0]"].shape[0]
     out = None
     for j in range(k):
         branch = ad.add(spmm(adj, ad.matmul(p["z"], ad.transpose(p[f"w_d[{j}]"]))),
                         ad.matmul(p["z"], ad.transpose(p[f"w_self[{j}]"])))
-        gated = ad.mul(ad.matmul(p["e"], constant(np.eye(k)[:, j:j + 1])), branch)
+        gate = ad.matmul(p["e"], constant(np.outer(np.eye(k)[:, j], np.ones(h))))
+        gated = ad.mul(gate, branch)
         out = gated if out is None else ad.add(out, gated)
     return out
 
@@ -459,10 +465,10 @@ def test_mixtures_reject_unstacked_weights():
 
 def test_gcn_mixture_counts_edge_touches_per_branch():
     adj, theta = _mixture_operands(3, 65)
-    ad.edge_touches.reset()
+    ad.edge_touches.count = 0
     _gcn_mixture(adj, {name: constant(v) for name, v in theta.items()})
     assert ad.edge_touches.count == 3 * adj.nnz
-    ad.edge_touches.reset()
+    ad.edge_touches.count = 0
 
 
 @pytest.mark.parametrize("with_self", [True, False], ids=["self", "no-self"])
@@ -686,10 +692,10 @@ def test_gat_mixture_counts_edge_touches_per_branch_without_self_loops():
     rng = Rng(95)
     w = constant(rng.normal((3, 2, 2)))
     b = constant(rng.normal((3, 4, 1)))
-    ad.edge_touches.reset()
+    ad.edge_touches.count = 0
     ad.gat_mixture(adj, constant(rng.normal((4, 2))), constant(np.ones((4, 3))), w, w, w, b)
     assert adj.num_links == 3 and ad.edge_touches.count == 3 * 3
-    ad.edge_touches.reset()
+    ad.edge_touches.count = 0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -729,8 +735,8 @@ def test_edge_softmax_equals_deleted_chain_exactly(seed):
     adj = random_edges(seed)
     rng = Rng(seed + 300)
     s, g = rng.normal((adj.nnz, 3)), rng.normal((adj.nnz, 3))
-    att, vjp = ad._attention_softmax(adj, s)
-    grad = vjp(g)
+    softmax = ad._EdgeSoftmax(adj, s)
+    att, grad = softmax.attention(), softmax(g)
     for j in range(3):
         expect, expect_grad = edge_softmax_chain(s[:, j], g[:, j], adj)
         np.testing.assert_array_equal(att[:, j], expect)
@@ -742,16 +748,16 @@ def test_edge_softmax_gradient():
     adj = random_edges(4)
     s, w = rng.normal((adj.nnz, 2)), rng.normal((adj.nnz, 2))
     numeric = finite_diff_grad(
-        lambda v: float((ad._attention_softmax(adj, v["s"])[0] * w).sum()), {"s": s},
+        lambda v: float((ad._EdgeSoftmax(adj, v["s"]).attention() * w).sum()), {"s": s},
         h=1e-5)["s"]
-    analytic = ad._attention_softmax(adj, s)[1](w)
+    analytic = ad._EdgeSoftmax(adj, s)(w)
     assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
 
 def test_edge_softmax_sums_to_one_per_target_at_extreme_scores():
     adj = random_edges(5)
     s = 700.0 * np.sign(Rng(45).normal((adj.nnz, 2)))  # near the float range unshifted
-    att, _ = ad._attention_softmax(adj, s)
+    att = ad._EdgeSoftmax(adj, s).attention()
     sums = add_at(adj.dst, att, adj.n)
     targets = np.bincount(adj.dst, minlength=adj.n) > 0
     np.testing.assert_allclose(sums[targets], 1.0, atol=1e-12)

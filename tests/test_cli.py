@@ -723,29 +723,41 @@ def test_existing_out_without_force_is_refused_before_any_work(tmp_path, kept_ru
 
 
 @pytest.mark.parametrize("inside", [True, False], ids=["ancestor", "same"])
-@pytest.mark.parametrize("command", ["train", "eval", "sweep", "gen-data"])
+@pytest.mark.parametrize("command", ["train", "eval", "sweep", "gen-data",
+                                     "train-config", "sweep-grid", "sweep-config"])
 def test_out_holding_the_input_is_refused_before_any_work(tmp_path, data_dir, run_dir, command,
                                                            inside, capsys):
-    # emptying --out for the results would delete the dataset (or base graph)
-    # it holds: --force does not allow that
+    # emptying --out for the results would delete the dataset, base graph,
+    # config or grid it holds: --force does not allow that
     out = str(tmp_path / "out")
     given = os.path.join(out, "input") if inside else out
+    grid = '{"epochs": [1], "hidden": [4]}'
     if command == "gen-data":
         write_base_graph(given)
-    else:
+    elif command in ("train", "eval", "sweep"):
         shutil.copytree(data_dir, given)
-    before = dir_bytes(given)
+    else:
+        os.makedirs(os.path.dirname(given), exist_ok=True)
+        write_file(given, grid if command == "sweep-grid" else '{"epochs": 1, "hidden": 4}')
+
+    def contents():
+        return dir_bytes(given) if os.path.isdir(given) else open(given, "rb").read()
+
+    before = contents()
+    grid_file = write_file(str(tmp_path / "grid.json"), grid)
     argv = {
         "train": ["train", "--data", given, "--epochs", "1", "--hidden", "4"],
         "eval": ["eval", "--data", given, "--checkpoint", os.path.join(run_dir, "checkpoint.json")],
-        "sweep": ["sweep", "--data", given, "--grid",
-                  write_file(str(tmp_path / "grid.json"), '{"epochs": [1], "hidden": [4]}')],
+        "sweep": ["sweep", "--data", given, "--grid", grid_file],
         "gen-data": ["gen-data", "--kind", "citation-spurious", "--base", given],
+        "train-config": ["train", "--data", data_dir, "--config", given],
+        "sweep-grid": ["sweep", "--data", data_dir, "--grid", given],
+        "sweep-config": ["sweep", "--data", data_dir, "--grid", grid_file, "--config", given],
     }[command]
     assert main(argv + ["--out", out, "--force"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"--out {out} is or contains" in err and given in err
-    assert dir_bytes(given) == before
+    assert contents() == before
 
 
 @pytest.mark.parametrize("force", [[], ["--force"]])

@@ -196,39 +196,34 @@ def test_norm_adj_isolated_node_empty_row():
 
 
 def test_split_100_nodes():
-    s = split_random(np.arange(100), (0.5, 0.25, 0.25), seed=0)
+    s = split_random(np.arange(100), seed=0)
     assert (len(s.train), len(s.valid), len(s.test_id)) == (50, 25, 25)
 
 
 def test_split_7_nodes_remainder_to_train():
-    s = split_random(np.arange(7), (0.5, 0.25, 0.25), seed=0)
+    s = split_random(np.arange(7), seed=0)
     assert (len(s.train), len(s.valid), len(s.test_id)) == (5, 1, 1)
 
 
 def test_split_deterministic():
-    a = split_random(np.arange(40), (0.5, 0.25, 0.25), seed=3)
-    b = split_random(np.arange(40), (0.5, 0.25, 0.25), seed=3)
+    a = split_random(np.arange(40), seed=3)
+    b = split_random(np.arange(40), seed=3)
     assert np.array_equal(a.train, b.train)
     assert np.array_equal(a.valid, b.valid)
     assert np.array_equal(a.test_id, b.test_id)
 
 
 def test_split_partitions_universe():
-    s = split_random(np.arange(33), (0.5, 0.25, 0.25), seed=1)
+    s = split_random(np.arange(33), seed=1)
     merged = np.sort(np.concatenate([s.train, s.valid, s.test_id]))
     assert np.array_equal(merged, np.arange(33))
-
-
-def test_split_rejects_bad_ratios():
-    with pytest.raises(ValueError):
-        split_random(np.arange(10), (0.5, 0.3, 0.3), seed=0)
 
 
 @pytest.mark.parametrize("n, part", [(0, "train"), (1, "valid"), (3, "valid")])
 def test_split_refuses_an_empty_part(n, part):
     # every later command refuses a dataset whose train, valid or test_id is empty
     with pytest.raises(ValueError, match=f"a split of {n} ID nodes .* leaves '{part}' empty"):
-        split_random(np.arange(n), (0.5, 0.25, 0.25), seed=0)
+        split_random(np.arange(n), seed=0)
 
 
 def test_splitspec_rejects_overlap():
@@ -247,7 +242,7 @@ def make_dataset():
         Graph(6, rng.normal(size=(6, 3)), rng.integers(0, 2, 6), [[0, 1], [2, 3]], 2)
         for _ in range(3)
     ]
-    split = split_random(np.arange(12), (0.5, 0.25, 0.25), seed=0)
+    split = split_random(np.arange(12), seed=0)
     return Dataset(graphs[:2], graphs[2:], split, {"name": "toy", "metric": "accuracy"})
 
 

@@ -182,13 +182,12 @@ def test_metrics_report():
     rep.add("test_id", 0.9, 100)
     rep.add("ood_1", 0.5, 40)
     rep.add("ood_2", 0.7, 40)
-    assert rep.value("test_id") == 0.9
+    assert [(e["split"], e["value"]) for e in rep.entries] == [
+        ("test_id", 0.9), ("ood_1", 0.5), ("ood_2", 0.7)]
     assert rep.ood_mean == pytest.approx(0.6)
     d = rep.to_dict()
     assert d["ood_mean"] == pytest.approx(0.6)
     assert len(d["entries"]) == 3
-    with pytest.raises(KeyError):
-        rep.value("nope")
 
 
 def test_metrics_report_without_ood_entries_has_null_mean():

@@ -1,5 +1,6 @@
 """Synthetic shift-generator tests: shapes, determinism, planted ground truth."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -83,9 +84,13 @@ def test_spurious_same_seed_same_manifest_hash(tmp_path):
     assert dataset_manifest_hash(str(tmp_path / "a")) == dataset_manifest_hash(str(tmp_path / "b"))
 
 
-def test_spurious_rejects_overlapping_domains():
-    with pytest.raises(ValueError):
-        SpuriousGenConfig(id_domains=(1, 2), ood_domains=(2, 3))
+def test_spurious_metadata_records_the_fixed_domains():
+    # the domains left the config, not the dataset: dataset.json still names them
+    fields = {f.name for f in dataclasses.fields(SpuriousGenConfig)}
+    assert not fields & {"num_domains", "id_domains", "ood_domains"}
+    gen = gen_spurious_dataset(base_graph(), SpuriousGenConfig(seed=5)).metadata["generator"]
+    assert gen["num_domains"] == 6
+    assert gen["id_domains"] == [1, 2, 3] and gen["ood_domains"] == [4, 5, 6]
 
 
 # ---------------------------------------------------------------------------
