@@ -5,22 +5,28 @@ models in this package need: dense matmul and transpose, elementwise add and
 mul of two operands of equal shape (they do not broadcast), scale, relu, row
 softmax and log-softmax, dropout, cross-entropy, a masked row mean, and one
 gated mixture layer per backbone, ``gcn_mixture`` and ``gat_mixture``. Every
-primitive records its inputs and a backward closure on the implicit tape
-formed by the ``Tensor`` graph; ``backward`` replays it in reverse
+primitive hands its inputs and a backward closure to the ``Tensor`` it makes,
+and the node records them on the implicit tape formed by the ``Tensor`` graph
+if a gradient flows through it; ``backward`` replays the tape in reverse
 topological order, visiting each node once.
 
-Gradient lifetime: ``backward`` releases an intermediate node's gradient as
-soon as its closure has passed it on to the node's inputs, so at most the
-gradients still waiting on their closures are resident at once. Parameters
-keep theirs. The closures stay on the tape, so the same tape can be replayed
-by a second ``backward`` with the same result. A tape is freed by reference
-counting when its last node goes out of scope: no closure refers to its own
-output. While it lives, a node keeps for its closure only what the backward
-reads, in the smallest exact form: ``gat_mixture`` keeps its attention's
-exp-scores (E, K), per-target denominators (N, K) and the leaky ReLU's sign
-as bools, and recomputes the attention from the first two in the backward,
-bitwise as the forward computed it; ``dropout`` keeps a bool mask and its
-scale.
+Gradient lifetime: a node that needs no gradient, because none of its inputs
+is a parameter or depends on one, keeps nothing: no inputs and no closure,
+and its primitive skips what only a backward would read (relu's mask, the
+mixtures' gate-gradient map). A forward on constants (the model's eval
+forward) therefore builds no tape, and each intermediate is freed as soon as
+the next op has used it. ``backward`` releases an intermediate node's
+gradient as soon as its closure has passed it on to the node's inputs, so at
+most the gradients still waiting on their closures are resident at once.
+Parameters keep theirs. The closures stay on the tape, so the same tape can
+be replayed by a second ``backward`` with the same result. A tape is freed by
+reference counting when its last node goes out of scope: no closure refers to
+its own output. While it lives, a node keeps for its closure only what the
+backward reads, in the smallest exact form: ``gat_mixture`` keeps its
+attention's exp-scores (E, K), per-target denominators (N, K) and the leaky
+ReLU's sign as bools, and recomputes the attention from the first two in the
+backward, one branch's column at a time, bitwise as the forward computed it;
+``dropout`` keeps a bool mask and its scale.
 
 All values are 64-bit floats. Every primitive checks its output for NaN/Inf
 and raises ``NumericError`` instead of letting non-finite values propagate.
@@ -91,10 +97,11 @@ class Tensor:
     def __init__(self, value, parents=(), op="leaf", backward=None, needs_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
         _check_finite(self.value, op)
-        self.parents = tuple(parents)
         self.op = op
-        self._backward = backward
-        self.needs_grad = needs_grad or any(p.needs_grad for p in self.parents)
+        self.needs_grad = needs_grad or any(p.needs_grad for p in parents)
+        # a node no gradient flows through keeps neither its inputs nor its
+        # closure, so its inputs are freed as soon as nothing else holds them
+        self.parents, self._backward = (tuple(parents), backward) if self.needs_grad else ((), None)
         self.grad = None
 
     @property
@@ -187,34 +194,28 @@ def _same_shape(op: str, a, b) -> tuple[Tensor, Tensor]:
 
 def add(a, b) -> Tensor:
     a, b = _same_shape("add", a, b)
-    out = Tensor(a.value + b.value, (a, b), "add")
 
     def bwd(g):
         _accum(a, g)
         _accum(b, g)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.value + b.value, (a, b), "add", bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _same_shape("mul", a, b)
-    out = Tensor(a.value * b.value, (a, b), "mul")
 
     def bwd(g):
         _accum(a, g * b.value)
         _accum(b, g * a.value)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.value * b.value, (a, b), "mul", bwd)
 
 
 def scale(a, c: float) -> Tensor:
     a = _lift(a)
     c = float(c)
-    out = Tensor(a.value * c, (a,), "scale")
-    out._backward = lambda g: _accum(a, g * c)
-    return out
+    return Tensor(a.value * c, (a,), "scale", lambda g: _accum(a, g * c))
 
 
 def matmul(a, b) -> Tensor:
@@ -225,29 +226,23 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul shape mismatch: {a.value.shape} x {b.value.shape}"
         )
-    out = Tensor(a.value @ b.value, (a, b), "matmul")
 
     def bwd(g):
         _accum(a, g @ b.value.T)
         _accum(b, a.value.T @ g)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.value @ b.value, (a, b), "matmul", bwd)
 
 
 def transpose(a) -> Tensor:
     a = _lift(a)
-    out = Tensor(a.value.T, (a,), "transpose")
-    out._backward = lambda g: _accum(a, g.T)
-    return out
+    return Tensor(a.value.T, (a,), "transpose", lambda g: _accum(a, g.T))
 
 
 def relu(a) -> Tensor:
     a = _lift(a)
-    pos = a.value > 0
-    out = Tensor(np.maximum(a.value, 0.0), (a,), "relu")
-    out._backward = lambda g: _accum(a, g * pos)
-    return out
+    pos = a.value > 0 if a.needs_grad else None  # the mask only the backward reads
+    return Tensor(np.maximum(a.value, 0.0), (a,), "relu", lambda g: _accum(a, g * pos))
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -265,13 +260,11 @@ def row_softmax(a) -> Tensor:
     z = a.value - _row_max(a.value)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, (a,), "row_softmax")
 
     def bwd(g):
         _accum(a, (g - (g * y).sum(axis=-1, keepdims=True)) * y)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, (a,), "row_softmax", bwd)
 
 
 def row_log_softmax(a) -> Tensor:
@@ -280,13 +273,11 @@ def row_log_softmax(a) -> Tensor:
     z = a.value - _row_max(a.value)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     y = z - lse
-    out = Tensor(y, (a,), "row_log_softmax")
 
     def bwd(g):
         _accum(a, g - g.sum(axis=-1, keepdims=True) * np.exp(y))
 
-    out._backward = bwd
-    return out
+    return Tensor(y, (a,), "row_log_softmax", bwd)
 
 
 def dropout(a, p: float, rng: Rng, training: bool) -> Tensor:
@@ -300,9 +291,7 @@ def dropout(a, p: float, rng: Rng, training: bool) -> Tensor:
         return a
     mask = rng.uniform(a.value.shape) >= p
     c = 1.0 / (1.0 - p)
-    out = Tensor(a.value * (mask * c), (a,), "dropout")
-    out._backward = lambda g: _accum(a, g * (mask * c))
-    return out
+    return Tensor(a.value * (mask * c), (a,), "dropout", lambda g: _accum(a, g * (mask * c)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +305,13 @@ def masked_row_mean(a, rows) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("masked_row_mean: empty row selection")
-    out = Tensor(a.value[rows].sum() / rows.size, (a,), "masked_row_mean")
 
     def bwd(g):
         buf = np.zeros(a.shape)
         buf[rows] = float(g) / rows.size
         _accum(a, buf)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.value[rows].sum() / rows.size, (a,), "masked_row_mean", bwd)
 
 
 def cross_entropy(logits, labels, mask) -> Tensor:
@@ -343,7 +330,6 @@ def cross_entropy(logits, labels, mask) -> Tensor:
     lse = np.log(sums[:, 0])
     picked = z[np.arange(n), labels]
     losses = lse - picked
-    out = Tensor(losses[rows].mean(), (logits,), "cross_entropy")
 
     def bwd(g):
         soft = ez / sums
@@ -352,8 +338,7 @@ def cross_entropy(logits, labels, mask) -> Tensor:
         buf[rows, labels[rows]] -= 1.0
         _accum(logits, buf * (float(g) / rows.size))
 
-    out._backward = bwd
-    return out
+    return Tensor(losses[rows].mean(), (logits,), "cross_entropy", bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +360,25 @@ def _mixture_operands(op: str, n: int, z, e, w_d, w_self):
     return z, e, w_d, w_self
 
 
-def _gate(e: Tensor, branches: np.ndarray):
-    """The sum of (N, K, H) branches under the (N, K) gates of ``e``, and the
-    map from its gradient to the branches' (N, K, H) gradient, which also
-    accumulates the gates' own. Under a constant (N, 1) gate of ones (erm's
-    layers pass one) the sum is the one branch."""
+def _gate(e: Tensor, branches: np.ndarray, needs_grad: bool):
+    """The sum of (N, K, H) branches under the (N, K) gates of ``e`` and, if
+    ``needs_grad``, the map from its gradient to the branches' (N, K, H)
+    gradient, which also accumulates the gates' own (else None). Under a
+    constant (N, 1) gate of ones (erm's layers pass one) the sum is the one
+    branch."""
     gates = e.value
     if not e.needs_grad and gates.shape[1] == 1 and (gates == 1.0).all():
         return branches[:, 0], lambda g: g[:, None]
+    mixed = np.einsum("nk,nkh->nh", gates, branches)
+    if not needs_grad:
+        return mixed, None
 
     def branch_grad(g):
         if e.needs_grad:
             _accum(e, np.einsum("nh,nkh->nk", g, branches))
         return np.einsum("nh,nk->nkh", g, gates)
 
-    return np.einsum("nk,nkh->nh", gates, branches), branch_grad
+    return mixed, branch_grad
 
 
 def gcn_mixture(adj: SparseAdj, z, e, w_d, w_self) -> Tensor:
@@ -412,8 +401,8 @@ def gcn_mixture(adj: SparseAdj, z, e, w_d, w_self) -> Tensor:
     branches = (adj.csr @ (zv @ wd.T)).reshape(n, k, h)
     if ws is not None:
         branches += (zv @ ws.T).reshape(n, k, h)
-    mixed, branch_grad = _gate(e, branches)
-    out = Tensor(mixed, tuple(p for p in (z, e, w_d, w_self) if p is not None), "gcn_mixture")
+    operands = tuple(p for p in (z, e, w_d, w_self) if p is not None)
+    mixed, branch_grad = _gate(e, branches, any(p.needs_grad for p in operands))
 
     def bwd(g):
         gs = branch_grad(g).reshape(n, k * h)
@@ -425,8 +414,7 @@ def gcn_mixture(adj: SparseAdj, z, e, w_d, w_self) -> Tensor:
         _accum(z, gz)
         _accum(w_d, (gd.T @ zv).reshape(w_d.shape))
 
-    out._backward = bwd
-    return out
+    return Tensor(mixed, operands, "gcn_mixture", bwd)
 
 
 def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -444,9 +432,9 @@ class _EdgeSoftmax:
     target's entries, column by column, as it is kept: exp-scores ``ex``
     (E, K), shifted by their target's maximum, and per-target denominators
     ``denom`` (N, K), not the attention or per-entry denominators.
-    ``attention()`` is ``ex / denom[dst]``, bitwise the same array on every
-    call; calling the object with the attention's gradient gives the scores'
-    (its vector-Jacobian product). Per-target rows are gathered with
+    ``column(j)`` is column j of the attention ``ex / denom[dst]``, bitwise
+    the same array on every call; calling the object with the attention's
+    gradient gives the scores' (its vector-Jacobian product). Per-target rows are gathered with
     ``np.take``, several times faster than fancy indexing on (E, K) rows."""
 
     __slots__ = ("dst", "n", "ex", "denom")
@@ -459,8 +447,10 @@ class _EdgeSoftmax:
     def _at_targets(self, per_node: np.ndarray) -> np.ndarray:  # (N, K) -> (E, K)
         return np.take(per_node, self.dst, axis=0)
 
-    def attention(self) -> np.ndarray:
-        return self.ex / self._at_targets(self.denom)
+    def column(self, j: int) -> np.ndarray:
+        """Branch ``j``'s attention ``ex[:, j] / denom[dst, j]``, a contiguous
+        (E,) array."""
+        return self.ex[:, j] / np.take(self.denom[:, j], self.dst)
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
         ex, d = self.ex, self._at_targets(self.denom)
@@ -531,9 +521,10 @@ def gat_mixture(adj: SparseAdj, z, e, w_d, w_self, w_a, b) -> Tensor:
 
     The node keeps, per stored entry, only the attention's exp-scores and the
     leaky ReLU's sign as bools, plus the (N, K) per-target denominators
-    (``_EdgeSoftmax``). The backward recomputes the attention from them, after
-    the score gradient's (E, K) transients are released and before the K
-    transpose products that give the messages' gradient.
+    (``_EdgeSoftmax``). The backward recomputes the attention from them, one
+    branch's (E,) column inside each of the K transpose products that give
+    the messages' gradient, after the score gradient's (E, K) transients are
+    released.
     ``w_a`` may be ``w_d``: their gradients add up.
     """
     z, e, w_d, w_self = _mixture_operands("gat_mixture", adj.n, z, e, w_d, w_self)
@@ -548,19 +539,18 @@ def gat_mixture(adj: SparseAdj, z, e, w_d, w_self, w_a, b) -> Tensor:
     raw = np.take(alpha, dst, axis=0) + np.take(beta, src, axis=0)  # (E, K)
     pos = raw > 0
     softmax = _EdgeSoftmax(adj, raw * _leaky_slope(pos))
-    att = softmax.attention()
     msgs = zv @ wd.T
     ws = None if w_self is None else w_self.value.reshape(k * h, -1)
     branches = np.zeros((n, k, h)) if ws is None else (zv @ ws.T).reshape(n, k, h)
     for j in range(k):
-        branches[:, j] += adj.scatter_to_dst(att[:, j], msgs[:, j * h:(j + 1) * h])
+        branches[:, j] += adj.scatter_to_dst(softmax.column(j), msgs[:, j * h:(j + 1) * h])
     edge_touches.add(k * adj.num_links)
-    mixed, branch_grad = _gate(e, branches)
-    out = Tensor(mixed, tuple(p for p in (z, e, w_d, w_self, w_a, b) if p is not None),
-                 "gat_mixture")
+    operands = tuple(p for p in (z, e, w_d, w_self, w_a, b) if p is not None)
+    mixed, branch_grad = _gate(e, branches, any(p.needs_grad for p in operands))
 
-    # capture arrays, not ``out``: a closure on its own node is a reference
-    # cycle that keeps the whole tape alive until the cyclic collector runs
+    # capture arrays, not the output node: a closure on its own node is a
+    # reference cycle that keeps the whole tape alive until the cyclic
+    # collector runs
     def bwd(g):
         gs = branch_grad(g)
         # the score branch first, so its (E, K) transients are gone before gm:
@@ -570,11 +560,9 @@ def gat_mixture(adj: SparseAdj, z, e, w_d, w_self, w_a, b) -> Tensor:
         gab = np.stack([_scatter_rows(dst, gscore, n), _scatter_rows(src, gscore, n)],
                        axis=-1).reshape(n, 2 * k)  # columns in the row order of u
         del gscore
-        att = softmax.attention()
         gm = np.empty((n, k * h))
         for j in range(k):
-            gm[:, j * h:(j + 1) * h] = adj.scatter_to_src(att[:, j], gs[:, j])
-        del att
+            gm[:, j * h:(j + 1) * h] = adj.scatter_to_src(softmax.column(j), gs[:, j])
         gu = (gab.T @ zv).reshape(k, 2, -1)
         gz = gm @ wd + gab @ u
         if w_self is not None:
@@ -586,5 +574,4 @@ def gat_mixture(adj: SparseAdj, z, e, w_d, w_self, w_a, b) -> Tensor:
         _accum(w_a, np.matmul(halves.transpose(0, 2, 1), gu))
         _accum(b, np.matmul(gu, w_a.value.transpose(0, 2, 1)).reshape(b.shape))  # (K, 2, H)
 
-    out._backward = bwd
-    return out
+    return Tensor(mixed, operands, "gat_mixture", bwd)

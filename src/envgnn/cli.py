@@ -27,7 +27,7 @@ from . import __version__
 from .autodiff import NumericError
 from .config import TrainConfig
 from .gradcheck import run_gradcheck
-from .graphdata import (ParseError, dataset_manifest_hash, load_dataset, load_graph,
+from .graphdata import (ParseError, _field, dataset_manifest_hash, load_dataset, load_graph,
                         read_json_object, save_dataset, write_json)
 from .model import export_branch_weights, init_params, ParamSet
 from .rng import ALGORITHM, STREAM_INIT, Rng
@@ -136,26 +136,18 @@ def load_checkpoint(path: str) -> tuple[ParamSet, TrainConfig]:
     """
     try:
         payload = read_json_object(path)
+        config = _field(payload, "config", path, lambda v: isinstance(v, dict), "a JSON object")
+        in_dim, num_classes = (
+            _field(payload, key, path, lambda v: type(v) is int and v >= 1, "a positive integer")
+            for key in ("in_dim", "num_classes"))
+        stored = _field(payload, "params", path, lambda v: isinstance(v, dict), "a JSON object")
     except ParseError as exc:
         raise CheckpointError(str(exc)) from None
-    for key in ("config", "in_dim", "num_classes", "params"):
-        if key not in payload:
-            raise CheckpointError(f"{path}: missing field '{key}'")
-    for key in ("in_dim", "num_classes"):
-        value = payload[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise CheckpointError(f"{path}: field '{key}' must be a positive integer")
-    if not isinstance(payload["config"], dict):
-        raise CheckpointError(f"{path}: field 'config' must be a JSON object")
     try:
-        cfg = TrainConfig.from_dict(payload["config"])
-        params = init_params(cfg, payload["in_dim"], payload["num_classes"],
-                             Rng(cfg.seed).substream(STREAM_INIT))
+        cfg = TrainConfig.from_dict(config)
+        params = init_params(cfg, in_dim, num_classes, Rng(cfg.seed).substream(STREAM_INIT))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad config: {exc}") from None
-    stored = payload["params"]
-    if not isinstance(stored, dict):
-        raise CheckpointError(f"{path}: field 'params' must be a JSON object")
     missing = sorted(set(params.tensors) - set(stored))
     extra = sorted(set(stored) - set(params.tensors))
     if missing or extra:

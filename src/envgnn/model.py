@@ -90,6 +90,13 @@ class ParamSet:
     def env_weight(self, layer: int) -> Tensor:
         return self.tensors["w_env" if self.cfg.shared_env else f"l{layer}.w_env"]
 
+    def as_constants(self) -> "ParamSet":
+        """These parameters as tape constants over the same value arrays: a
+        pass that reads them builds no tape."""
+        view = ParamSet(self.cfg, self.in_dim, self.num_classes)
+        view.tensors = {k: constant(t.value) for k, t in self.tensors.items()}
+        return view
+
     def values(self) -> dict[str, np.ndarray]:
         return {k: np.array(t.value) for k, t in self.tensors.items()}
 
@@ -204,6 +211,14 @@ def forward(gt: GraphTensors, params: ParamSet, gumbel_rng: Rng, dropout_rng: Rn
     ``moe_preact``. For canet, it is the gated mixture of K branches under
     the layer's posterior, which is returned alongside the logits; for erm,
     the one branch of the plain backbone under a unit gate.
+
+    A training pass records the tape that ``autodiff.backward`` replays. An
+    eval pass (``training=False``) reads the parameters as constants
+    (``ParamSet.as_constants``), so it builds no tape: none of its nodes
+    keeps inputs or a closure, each layer's intermediates are freed as soon
+    as the next op has used them, and only the logits and the posterior stay
+    resident. The arithmetic is the same: where neither pass applies dropout
+    or draws noise, their logits are equal bit for bit.
     """
     cfg = params.cfg
     if params.in_dim != gt.features.value.shape[1]:
@@ -211,6 +226,8 @@ def forward(gt: GraphTensors, params: ParamSet, gumbel_rng: Rng, dropout_rng: Rn
     if gt.backbone != cfg.backbone:
         raise ValueError(f"graph tensors were prepared for {gt.backbone}, "
                          f"the model's backbone is {cfg.backbone}")
+    if not training:
+        params = params.as_constants()
     posterior = None if cfg.method == "erm" else []
     e = constant(np.ones((gt.n, 1))) if posterior is None else None  # erm's gate
     z = ad.matmul(gt.features, ad.transpose(params["phi_in"]))
@@ -218,8 +235,10 @@ def forward(gt: GraphTensors, params: ParamSet, gumbel_rng: Rng, dropout_rng: Rn
         if posterior is not None:
             posterior.append(_posterior(z, params, l, gumbel_rng, training))
             e = posterior[-1].e
-        pre = moe_preact(z, gt, e, params, l)
-        z = ad.add(ad.dropout(ad.relu(pre), cfg.dropout, dropout_rng, training), z)
+        # one expression: no name holds a layer's intermediates into the next
+        # layer, so an eval pass frees each once the next op has read it
+        z = ad.add(ad.dropout(ad.relu(moe_preact(z, gt, e, params, l)), cfg.dropout,
+                              dropout_rng, training), z)
     return ForwardOutput(ad.matmul(z, ad.transpose(params["phi_out"])), posterior)
 
 

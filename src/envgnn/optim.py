@@ -9,6 +9,7 @@ import numpy as np
 from .autodiff import Tensor
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+FD_STEP = 1e-5  # the finite-difference step
 
 
 class AdamState:
@@ -51,15 +52,13 @@ def adam_step(
 def finite_diff_grad(
     f: Callable[[dict[str, np.ndarray]], float],
     theta: dict[str, np.ndarray],
-    h: float = 1e-5,
 ) -> dict[str, np.ndarray]:
-    """Central finite differences of a scalar function, coordinate by coordinate.
+    """Central finite differences of a scalar function, coordinate by
+    coordinate, at the step ``FD_STEP``.
 
     ``f`` must be deterministic given fixed random draws; any stochastic pieces
-    inside it have to be frozen across the +h/-h evaluations.
+    inside it have to be frozen across the +step/-step evaluations.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
     work = {k: np.array(v, dtype=np.float64) for k, v in theta.items()}
     grads = {}
     for name, arr in work.items():
@@ -68,12 +67,12 @@ def finite_diff_grad(
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             fp = f(work)
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             fm = f(work)
             flat[i] = orig
-            gflat[i] = (fp - fm) / (2.0 * h)
+            gflat[i] = (fp - fm) / (2.0 * FD_STEP)
         grads[name] = g
     return grads
 

@@ -122,7 +122,8 @@ class TrainResult:
 
 def _eval_forward(gt: GraphTensors, params: ParamSet) -> np.ndarray:
     """Deterministic evaluation pass: the eval sub-stream of the model's
-    seed, dropout off."""
+    seed, dropout off. The forward builds no tape, so once it returns only
+    the logits array it hands back stays resident."""
     root = Rng(params.cfg.seed)
     out = forward(gt, params,
                   gumbel_rng=root.substream(STREAM_EVAL),
@@ -136,8 +137,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
 
     Each epoch is one full-graph optimizer step followed by an eval forward
     that scores it. The step's output, loss and gradients are released
-    before the eval forward builds its own tape, so one tape is resident at
-    a time.
+    before the eval forward, which builds no tape, so the step's tape is the
+    only one ever resident.
     """
     union = disjoint_union(dataset.id_graphs)
     gt = prepare_graph(union, cfg)
@@ -173,7 +174,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             if env:
                 adam_step(env, {n: grads[n] for n in env}, state_env, lr_env, cfg.weight_decay)
             loss_val = float(loss.value)
-            # the step's tape is released before the eval forward builds another
+            # the step's tape is released before the eval forward runs
             del out, loss, grads
             logits = _eval_forward(gt, params)
         except NumericError as exc:

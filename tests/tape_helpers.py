@@ -1,7 +1,7 @@
 """Tape primitives that only the tests build on: a plain sparse-dense product
 (the reference for the fused mixtures and ACCEPT-04's hand-written model) and
-a sum to a scalar loss. They record backward closures on the package's tape
-like its own primitives do."""
+a sum to a scalar loss. They hand their backward closures to the package's
+tape like its own primitives do."""
 
 import numpy as np
 
@@ -18,13 +18,10 @@ def spmm(s: SparseAdj, m) -> Tensor:
             f"spmm shape mismatch: adjacency n={s.n}, matrix rows={m.value.shape[0]}"
         )
     ad.edge_touches.add(s.nnz)
-    out = Tensor(s.csr @ m.value, (m,), "spmm")
-    out._backward = lambda g: ad._accum(m, s.csr.T @ g)
-    return out
+    return Tensor(s.csr @ m.value, (m,), "spmm", lambda g: ad._accum(m, s.csr.T @ g))
 
 
 def sum_all(a) -> Tensor:
     a = ad._lift(a)
-    out = Tensor(a.value.sum(), (a,), "sum_all")
-    out._backward = lambda g: ad._accum(a, np.full(a.shape, float(g)))
-    return out
+    return Tensor(a.value.sum(), (a,), "sum_all",
+                  lambda g: ad._accum(a, np.full(a.shape, float(g))))

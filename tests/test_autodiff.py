@@ -22,7 +22,7 @@ import tape_helpers
 from tape_helpers import spmm, sum_all
 
 
-def fd_check(build, theta, tol=1e-6, h=1e-5):
+def fd_check(build, theta, tol=1e-6):
     """Compare tape gradients of a scalar-producing builder with central
     finite differences over the named parameter arrays; a stacked (K, ...)
     branch weight is compared branch by branch."""
@@ -34,7 +34,7 @@ def fd_check(build, theta, tol=1e-6, h=1e-5):
         ps = {k: parameter(v) for k, v in values.items()}
         return float(build(ps).value)
 
-    numeric = per_branch(finite_diff_grad(f, {k: np.array(v) for k, v in theta.items()}, h=h))
+    numeric = per_branch(finite_diff_grad(f, {k: np.array(v) for k, v in theta.items()}))
     for k in analytic:
         denom = max(np.abs(analytic[k]).max(initial=0.0),
                     np.abs(numeric[k]).max(initial=0.0), 1e-8)
@@ -736,11 +736,19 @@ def test_edge_softmax_equals_deleted_chain_exactly(seed):
     rng = Rng(seed + 300)
     s, g = rng.normal((adj.nnz, 3)), rng.normal((adj.nnz, 3))
     softmax = ad._EdgeSoftmax(adj, s)
-    att, grad = softmax.attention(), softmax(g)
+    grad = softmax(g)
     for j in range(3):
         expect, expect_grad = edge_softmax_chain(s[:, j], g[:, j], adj)
-        np.testing.assert_array_equal(att[:, j], expect)
+        att = softmax.column(j)
+        assert att.flags.c_contiguous
+        np.testing.assert_array_equal(att, expect)
         np.testing.assert_array_equal(grad[:, j], expect_grad)
+
+
+def attention(s, adj):
+    """The (E, K) attention of scores ``s``, column by column."""
+    softmax = ad._EdgeSoftmax(adj, s)
+    return np.stack([softmax.column(j) for j in range(s.shape[1])], axis=1)
 
 
 def test_edge_softmax_gradient():
@@ -748,8 +756,7 @@ def test_edge_softmax_gradient():
     adj = random_edges(4)
     s, w = rng.normal((adj.nnz, 2)), rng.normal((adj.nnz, 2))
     numeric = finite_diff_grad(
-        lambda v: float((ad._EdgeSoftmax(adj, v["s"]).attention() * w).sum()), {"s": s},
-        h=1e-5)["s"]
+        lambda v: float((attention(v["s"], adj) * w).sum()), {"s": s})["s"]
     analytic = ad._EdgeSoftmax(adj, s)(w)
     assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
@@ -757,7 +764,7 @@ def test_edge_softmax_gradient():
 def test_edge_softmax_sums_to_one_per_target_at_extreme_scores():
     adj = random_edges(5)
     s = 700.0 * np.sign(Rng(45).normal((adj.nnz, 2)))  # near the float range unshifted
-    att = ad._EdgeSoftmax(adj, s).attention()
+    att = attention(s, adj)
     sums = add_at(adj.dst, att, adj.n)
     targets = np.bincount(adj.dst, minlength=adj.n) > 0
     np.testing.assert_allclose(sums[targets], 1.0, atol=1e-12)

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from envgnn.cli import (
     save_checkpoint,
 )
 import envgnn
+from envgnn.config import TrainConfig
 from envgnn.graphdata import load_dataset, save_graph
 
 from branch_csv import import_branch_weights
@@ -194,6 +196,31 @@ def test_eval_reproduces_training_report(tmp_path, data_dir, run_dir):
     run = json.load(open(os.path.join(run_dir, "run.json")))
     assert metrics["entries"] == run["final"]["entries"]
     assert len(metrics["entries"]) == 1 + 3
+
+
+def test_eval_peak_memory_is_a_few_blocks(tmp_path):
+    # memory guard: the eval forward builds no tape, so the traced peak of a
+    # whole `envgnn eval` of a GCN canet checkpoint stays within four (N, K*H)
+    # blocks and the (N, C) logits, N the node count of the largest graph it
+    # scores, the ID union; a tape would keep about five blocks alive
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    assert main(["gen-data", "--kind", "planted", "--out", data, "--seed", "0",
+                 "--n-per-domain", "200"]) == EXIT_OK
+    assert main(["train", "--data", data, "--out", run, "--epochs", "2"]) == EXIT_OK
+    ds, cfg = load_dataset(data), TrainConfig()
+    n = sum(g.n for g in ds.id_graphs)
+    assert n >= max(g.n for g in ds.ood_graphs)
+    bound = 8 * n * (4 * cfg.num_branches * cfg.hidden + ds.num_classes)
+    del ds
+    tracemalloc.start()
+    try:
+        rc = main(["eval", "--data", data, "--checkpoint", os.path.join(run, "checkpoint.json"),
+                   "--out", str(tmp_path / "eval")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert peak < bound, (peak, bound)
 
 
 def test_eval_shape_mismatch_exits_compat(tmp_path, run_dir):

@@ -383,6 +383,51 @@ def test_deterministic_eval_flag_zeroes_noise():
         assert np.abs(lp.e.value - lp.pi.value).max() <= 1e-12
 
 
+def reachable(roots):
+    """Every node under ``roots`` by parent links, each once."""
+    seen = {id(r): r for r in roots}
+    stack = list(roots)
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("method", ["canet", "erm"])
+@pytest.mark.parametrize("backbone", ["gcn", "gat"])
+def test_eval_forward_builds_no_tape(backbone, method):
+    # no node of an eval pass keeps inputs or a closure; the training pass
+    # on the same parameters records its tape as before
+    cfg = TrainConfig(backbone=backbone, method=method, hidden=8)
+    g = random_graph(seed=27)
+    params = make_params(cfg)
+    out = eval_logits(g, cfg, params)
+    roots = [out.logits] + [t for lp in out.posterior or [] for t in (lp.pi, lp.log_pi, lp.e)]
+    nodes = reachable(roots)
+    assert len(nodes) == len(roots)
+    assert all(t.parents == () and t._backward is None and not t.needs_grad for t in nodes)
+    trained = forward(prepare_graph(g, cfg), params, Rng(1), Rng(2), training=True).logits
+    assert trained.needs_grad and trained._backward is not None
+    assert params["phi_in"].needs_grad and params["phi_in"].op == "param"
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gat"])
+@pytest.mark.parametrize("overrides", [{"method": "erm"}, {"mean_pool_env": True}],
+                         ids=["erm", "canet-mean-pool"])
+def test_eval_forward_equals_training_forward_bit_for_bit(backbone, overrides):
+    # with dropout off and no gate noise drawn, the two modes differ only in
+    # whether the tape is recorded: the arithmetic is the same
+    cfg = TrainConfig(backbone=backbone, hidden=8, dropout=0.0, **overrides)
+    g = random_graph(seed=28)
+    params = make_params(cfg)
+    gt = prepare_graph(g, cfg)
+    logits = [forward(gt, params, Rng(3), Rng(4), training=mode).logits.value
+              for mode in (False, True)]
+    assert np.array_equal(logits[0].view(np.int64), logits[1].view(np.int64))
+
+
 def test_feature_dim_mismatch_raises():
     cfg = TrainConfig(hidden=8)
     params = make_params(cfg, in_dim=6)

@@ -80,11 +80,6 @@ def test_finite_diff_multivariate():
     assert np.abs(g["x"] - (np.cos(x0) + a)).max() <= 1e-8
 
 
-def test_finite_diff_rejects_bad_h():
-    with pytest.raises(ValueError):
-        finite_diff_grad(lambda t: 0.0, {"x": np.zeros(1)}, h=0.0)
-
-
 def test_relative_gradient_error_sup_norm():
     errs = relative_gradient_error(
         {"a": np.array([1.0, 2.0]), "b": np.zeros(2)},

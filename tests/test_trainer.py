@@ -1,6 +1,7 @@
 """Objective terms, the training loop, evaluation reports, and sweeps."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from envgnn import autodiff as ad
 from envgnn import trainer as trainer_mod
-from envgnn.autodiff import constant
+from envgnn.autodiff import Tensor, constant
 from envgnn.config import TrainConfig
 from envgnn.graphdata import Graph
 from envgnn.model import LayerPosterior, _posterior, forward, init_params, prepare_graph
@@ -334,6 +335,71 @@ def test_step_tape_is_freed_before_the_eval_forward(monkeypatch, backbone, metho
         gc.enable()
     assert tape and len(checked) >= cfg.epochs
     assert checked == [0] * len(checked)
+
+
+def outputs_of(out):
+    """The nodes a forward hands back: its logits and each layer's posterior."""
+    return [out.logits] + [t for lp in out.posterior or [] for t in (lp.pi, lp.log_pi, lp.e)]
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gat"])
+@pytest.mark.parametrize("method", ["canet", "erm"])
+def test_eval_forward_keeps_no_op_node_past_its_use(monkeypatch, backbone, method):
+    # with cyclic gc off, a node is gone only once nothing refers to it: when
+    # the eval forward returns, its outputs are the only op nodes alive, and
+    # once _eval_forward has returned, none is
+    made, extra = [], []
+    real_init, real_forward = Tensor.__init__, trainer_mod.forward
+
+    def live_ops():
+        return {id(t): t for t in (ref() for ref in made)
+                if t is not None and t.op not in ("const", "param")}
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    def checking_forward(*args, **kwargs):
+        out = real_forward(*args, **kwargs)
+        extra.append(set(live_ops()) - {id(t) for t in outputs_of(out)})
+        return out
+
+    cfg = TrainConfig(backbone=backbone, method=method, hidden=8, seed=0)
+    ds = small_dataset()
+    gt = prepare_graph(ds.id_graphs[0], cfg)
+    params = init_params(cfg, ds.num_features, ds.num_classes, Rng(0).substream(STREAM_INIT))
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    monkeypatch.setattr(trainer_mod, "forward", checking_forward)
+    gc.disable()
+    try:
+        logits = trainer_mod._eval_forward(gt, params)
+        assert made and extra == [set()]
+        assert live_ops() == {}
+    finally:
+        gc.enable()
+    assert logits.shape == (gt.n, ds.num_classes)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gat"])
+@pytest.mark.parametrize("method", ["canet", "erm"])
+def test_eval_forward_holds_only_its_outputs(backbone, method):
+    # memory guard: while the union's eval output lives, all that the forward
+    # allocated and still holds is its logits and posterior arrays, plus the
+    # small objects around them; a tape would hold several (N, K*H) blocks
+    cfg = TrainConfig(backbone=backbone, method=method)
+    ds = small_dataset(n=200)
+    union = disjoint_union(ds.id_graphs)
+    gt = prepare_graph(union, cfg)
+    params = init_params(cfg, union.num_features, ds.num_classes, Rng(0).substream(STREAM_INIT))
+    forward(gt, params, Rng(1), Rng(2), training=False)  # fills the operand's cached indices
+    tracemalloc.start()
+    try:
+        out = forward(gt, params, Rng(1), Rng(2), training=False)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(t.value.nbytes for t in outputs_of(out))
+    assert held <= arrays + 8 * 1024, (held, arrays)
 
 
 # ---------------------------------------------------------------------------
