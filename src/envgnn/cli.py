@@ -233,8 +233,8 @@ def _load_json_object(path: str, flag: str) -> dict:
 
 
 # the TrainConfig fields only the mixture model (canet) reads
-CANET_ONLY = ("num_branches", "tau", "reg_weight", "lr_env", "shared_env", "mean_pool_env",
-              "deterministic_eval", "exact_kl")
+CANET_ONLY = ("num_branches", "tau", "reg_weight", "mean_pool_env", "deterministic_eval",
+              "exact_kl")
 
 
 def _load_train_config(args) -> TrainConfig:
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--branches", dest="num_branches", type=int)
     t.add_argument("--tau", type=float)
     t.add_argument("--reg-weight", dest="reg_weight", type=float)
-    for flag in ("shared-env", "mean-pool-env", "deterministic-eval", "exact-kl"):
+    for flag in ("mean-pool-env", "deterministic-eval", "exact-kl"):
         t.add_argument(f"--{flag}", dest=flag.replace("-", "_"), action="store_true",
                        default=None)
     t.set_defaults(func=cmd_train)

@@ -42,25 +42,21 @@ class TrainConfig:
     tau: float = 1.0
     reg_weight: float = 1.0
     lr: float = 0.01
-    lr_env: float | None = None  # optional separate rate for the estimator; 0 freezes it
     weight_decay: float = 5e-4
     dropout: float = 0.1
     epochs: int = 500
-    patience: int | None = None
     backbone: str = "gcn"
     method: str = "canet"
     seed: int = 0
     # ablation and mode flags
-    shared_env: bool = False
     mean_pool_env: bool = False
     deterministic_eval: bool = False
     exact_kl: bool = False  # use the closed-form regularizer instead of MC
 
     def __post_init__(self):
         for f in fields(self):
-            kind, _, optional = f.type.partition(" | ")  # "int", "float | None", ...
             value = getattr(self, f.name)
-            if not (_ADMITS[kind](value) or (optional and value is None)):
+            if not _ADMITS[f.type](value):
                 raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} "
                                  f"{value!r}")
         reject_non_finite(self)
@@ -76,8 +72,6 @@ class TrainConfig:
             raise ValueError("reg_weight must be nonnegative")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
-        if self.lr_env is not None and self.lr_env < 0:
-            raise ValueError(f"lr_env must be nonnegative, got {self.lr_env!r}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -86,8 +80,6 @@ class TrainConfig:
             raise ValueError("num_layers, hidden, num_branches must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.patience is not None and self.patience < 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -17,8 +17,9 @@ Naming note: a layer's branch weights are one tensor per role, stacked over
 the branch axis (branch j is index j - 1): ``l{l}.w_d`` (messages),
 ``l{l}.w_self`` (self term) and ``l{l}.w_a`` (GAT attention) are (K, H, H),
 ``l{l}.b`` (GAT attention vector) is (K, 2H, 1). erm has K = 1 and only
-``w_d``, also its attention weight, and ``b``. The estimator matrix is called
-``w_env`` and the self-transform ``w_self`` to keep the two roles apart.
+``w_d``, also its attention weight, and ``b``. A canet layer's estimator
+matrix ``l{l}.w_env`` is (K, H); it is called ``w_env`` and the
+self-transform ``w_self`` to keep the two roles apart.
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def env_weight(self, layer: int) -> Tensor:
-        return self.tensors["w_env" if self.cfg.shared_env else f"l{layer}.w_env"]
-
     def as_constants(self) -> "ParamSet":
         """These parameters as tape constants over the same value arrays: a
         pass that reads them builds no tape."""
@@ -132,8 +130,8 @@ def init_params(cfg: TrainConfig, in_dim: int, num_classes: int, rng: Rng) -> Pa
         if gat:
             ps.add(f"l{l}.b", np.zeros((k, 2 * h, 1)))
     if not erm:
-        for name in ["w_env"] if cfg.shared_env else [f"l{l}.w_env" for l in range(1, ll + 1)]:
-            ps.add(name, gauss((k, h), h))
+        for l in range(1, ll + 1):
+            ps.add(f"l{l}.w_env", gauss((k, h), h))
     ps.add("phi_out", gauss((num_classes, h), h))
     return ps
 
@@ -196,7 +194,7 @@ def _posterior(z: Tensor, params: ParamSet, layer: int, gumbel_rng: Rng,
     if cfg.mean_pool_env:
         uniform = constant(np.full(shape, 1.0 / shape[1]))
         return LayerPosterior(uniform, constant(np.full(shape, -np.log(shape[1]))), uniform)
-    pi, log_pi = env_probs(z, params.env_weight(layer))
+    pi, log_pi = env_probs(z, params[f"l{layer}.w_env"])
     noise = (np.zeros(shape) if cfg.deterministic_eval and not training
              else gumbel_rng.gumbel(shape))
     return LayerPosterior(pi, log_pi, gumbel_sample(log_pi, cfg.tau, noise))

@@ -152,17 +152,11 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     gumbel_rng = root.substream(STREAM_GUMBEL)
     dropout_rng = root.substream(STREAM_DROPOUT)
 
-    env_names = {n for n in params.tensors if "w_env" in n}
-    main = {n: t for n, t in params.tensors.items() if n not in env_names}
-    env = {n: t for n, t in params.tensors.items() if n in env_names}
-    state_main = AdamState(main)
-    state_env = AdamState(env)
-    lr_env = cfg.lr if cfg.lr_env is None else cfg.lr_env
+    state = AdamState(params.tensors)
 
     result = TrainResult(config=cfg.to_dict(), seed=cfg.seed)
     best_values = params.values()
     result.selected_epoch = 0
-    stale = 0
 
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
@@ -170,9 +164,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             out = forward(gt, params, gumbel_rng, dropout_rng, training=True)
             loss, sup_val, reg_val = total_loss(out, labels, split.train, cfg)
             grads = ad.backward(loss, params.tensors)
-            adam_step(main, {n: grads[n] for n in main}, state_main, cfg.lr, cfg.weight_decay)
-            if env:
-                adam_step(env, {n: grads[n] for n in env}, state_env, lr_env, cfg.weight_decay)
+            adam_step(params.tensors, grads, state, cfg.lr, cfg.weight_decay)
             loss_val = float(loss.value)
             # the step's tape is released before the eval forward runs
             del out, loss, grads
@@ -194,11 +186,6 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             result.best_valid = rec["valid_metric"]
             result.selected_epoch = epoch
             best_values = params.values()
-            stale = 0
-        else:
-            stale += 1
-            if cfg.patience is not None and stale >= cfg.patience:
-                break
 
     params.load_values(best_values)
     result.params = params
@@ -263,8 +250,7 @@ def sweep(dataset: Dataset, grid: dict[str, list], seeds: list[int],
             })
         means[tuple(overrides.items())] = results[-1]["mean_valid"] = float(np.mean(valid_scores))
     # pick by mean validation metric across seeds; a tie goes to the first
-    # combination in value order, where null orders before any value
-    order = sorted(means, key=lambda combo: [(v is not None, v) for _, v in combo])
-    best_key = max(order, key=means.get)
+    # combination in value order
+    best_key = max(sorted(means), key=means.get)
     best_cfg = TrainConfig.from_dict({**base.to_dict(), **dict(best_key)})
     return best_cfg, results

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, artifacts, round trips."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -325,7 +326,7 @@ def test_train_config_file_not_an_object_is_usage_error(tmp_path, data_dir, caps
     ({"backbone": ["gcn"]}, "backbone"),
     ({"seed": None}, "seed"),
     ({"tau": math.nan}, "tau"),
-    ({"lr_env": math.inf}, "lr_env"),
+    ({"lr": math.inf}, "lr"),
     ({"reg_weight": -math.inf}, "reg_weight"),
     ({"weight_decay": 10**400}, "weight_decay"),
     ({"epochs": 0}, "epochs"),
@@ -363,16 +364,13 @@ def test_train_subnormal_tau_is_usage_error(tmp_path, data_dir, capsys):
     assert not os.path.exists(out)
 
 
-# a learning rate, weight decay or patience out of range, and the message naming it
+# a learning rate or weight decay out of range, and the message naming it
 BAD_RATES = [("lr", -0.01, "lr must be positive"), ("lr", 0, "lr must be positive"),
-             ("lr_env", -0.01, "lr_env must be nonnegative"),
-             ("weight_decay", -1, "weight_decay must be nonnegative"),
-             ("patience", -1, "patience must be >= 0")]
+             ("weight_decay", -1, "weight_decay must be nonnegative")]
 
 
 @pytest.mark.parametrize("source, field, value, named", [
     (source, *bad) for source in ("flag", "config", "grid") for bad in BAD_RATES
-    if source != "flag" or bad[0] in ("lr", "weight_decay")  # the fields with a flag
 ])
 def test_rate_or_patience_out_of_range_is_usage_error(tmp_path, data_dir, capsys, monkeypatch,
                                                       source, field, value, named):
@@ -449,7 +447,11 @@ def test_package_exports_are_exactly_its_imports():
         assert getattr(envgnn, name) is not None, name
 
 
-@pytest.mark.parametrize("field", ["colour", "log_prob_gumbel", "no_reg_loss", "self_loops"])
+# fields of earlier versions: a file naming one is refused, never silently ignored
+RETIRED = ("log_prob_gumbel", "no_reg_loss", "self_loops", "shared_env", "lr_env", "patience")
+
+
+@pytest.mark.parametrize("field", ["colour", *RETIRED])
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_unknown_config_field_is_usage_error(tmp_path, data_dir, capsys, command, field):
     # a --config file or a sweep grid naming a field TrainConfig does not
@@ -465,11 +467,20 @@ def test_unknown_config_field_is_usage_error(tmp_path, data_dir, capsys, command
     assert "Traceback" not in err
 
 
-def test_train_config_admits_int_for_float_and_null_for_optional():
-    from envgnn.config import TrainConfig
+def test_train_config_admits_int_for_float_and_refuses_null_for_every_field():
+    cfg = TrainConfig.from_dict({"lr": 1, "tau": 2})
+    assert (cfg.lr, cfg.tau) == (1, 2)
+    for f in dataclasses.fields(TrainConfig):
+        with pytest.raises(ValueError, match=f"^{f.name} must be {f.type}, got NoneType"):
+            TrainConfig.from_dict({f.name: None})
 
-    cfg = TrainConfig.from_dict({"lr": 1, "tau": 2, "lr_env": None, "patience": None})
-    assert (cfg.lr, cfg.tau, cfg.lr_env, cfg.patience) == (1, 2, None, None)
+
+def test_train_retired_flag_is_usage_error(tmp_path, data_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", data_dir, "--out", str(tmp_path / "run"), "--shared-env"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --shared-env" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_train_huge_learning_rate_exits_numeric(tmp_path, data_dir, capsys):
@@ -489,11 +500,10 @@ def test_train_erm_warns_about_moe_flags(tmp_path, data_dir, capsys):
 
 @pytest.mark.parametrize("flags, config, named", [
     pytest.param(["--exact-kl"], {}, "exact_kl", id="exact-kl"),
-    pytest.param(["--shared-env", "--mean-pool-env"], {}, "shared_env, mean_pool_env",
-                 id="env-flags"),
+    pytest.param(["--mean-pool-env"], {}, "mean_pool_env", id="env-flags"),
     pytest.param(["--deterministic-eval", "--tau", "0.5"], {}, "tau, deterministic_eval",
                  id="eval-flag-and-tau"),
-    pytest.param([], {"lr_env": 0.1, "reg_weight": 0.0}, "reg_weight, lr_env",
+    pytest.param([], {"reg_weight": 0.0, "num_branches": 2}, "num_branches, reg_weight",
                  id="config-file"),
 ])
 def test_train_erm_warns_naming_every_canet_only_field(tmp_path, data_dir, capsys, flags,
@@ -581,19 +591,19 @@ def test_sweep_bookkeeping(tmp_path, data_dir):
     assert payload["best_config"]["lr"] in (0.01, 0.005)
 
 
-def test_sweep_grid_mixing_null_and_numbers(tmp_path, data_dir):
-    # erm has no estimator, so both lr_env values tie and null wins the tie
+def test_sweep_tie_goes_to_the_first_value_in_sorted_order(tmp_path, data_dir):
+    # erm has no gate, so both tau values tie and the smaller one wins the tie
     grid = str(tmp_path / "grid.json")
-    write_file(grid, json.dumps({"lr_env": [0.01, None]}))
+    write_file(grid, json.dumps({"tau": [3.0, 1.0]}))
     base = str(tmp_path / "base.json")
     write_file(base, json.dumps({"method": "erm", "epochs": 1, "hidden": 4}))
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--data", data_dir, "--grid", grid, "--config", base,
                  "--out", out]) == EXIT_OK
     payload = json.load(open(os.path.join(out, "sweep.json")))
-    assert [r["overrides"]["lr_env"] for r in payload["results"]] == [0.01, None]
+    assert [r["overrides"]["tau"] for r in payload["results"]] == [3.0, 1.0]
     assert payload["results"][0]["mean_valid"] == payload["results"][1]["mean_valid"]
-    assert payload["best_config"]["lr_env"] is None
+    assert payload["best_config"]["tau"] == 1.0
 
 
 @pytest.mark.parametrize("flag, text, named", [
@@ -906,10 +916,8 @@ def _per_branch_layout(payload):
                  id="wrong-shape"),
     pytest.param(lambda p: p["config"].__setitem__("colour", "red"), "colour",
                  id="unknown-config-field"),
-    # retired fields: a checkpoint trained under them would evaluate differently
     *[pytest.param(lambda p, f=field: p["config"].__setitem__(f, True), field,
-                   id=f"unknown-config-field-{field}")
-      for field in ("log_prob_gumbel", "no_reg_loss", "self_loops")],
+                   id=f"unknown-config-field-{field}") for field in RETIRED],
     pytest.param(lambda p: p["config"].__setitem__("hidden", "x"), "hidden must be int",
                  id="config-field-str"),
     pytest.param(lambda p: p["config"].__setitem__("hidden", 2.5), "hidden must be int",

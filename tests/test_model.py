@@ -550,27 +550,23 @@ def _layer_params(l, roles, shape):
     return [(f"l{l}.{role}", shape) for role in roles]
 
 
-@pytest.mark.parametrize("backbone, method, shared_env, expect", [
-    ("gcn", "canet", False,
+@pytest.mark.parametrize("backbone, method, expect", [
+    ("gcn", "canet",
      [("phi_in", (4, 5))] + _layer_params(1, ("w_d", "w_self"), (3, 4, 4))
      + _layer_params(2, ("w_d", "w_self"), (3, 4, 4))
      + [("l1.w_env", (3, 4)), ("l2.w_env", (3, 4)), ("phi_out", (2, 4))]),
-    ("gcn", "canet", True,
-     [("phi_in", (4, 5))] + _layer_params(1, ("w_d", "w_self"), (3, 4, 4))
-     + _layer_params(2, ("w_d", "w_self"), (3, 4, 4)) + [("w_env", (3, 4)), ("phi_out", (2, 4))]),
-    ("gat", "canet", False,
+    ("gat", "canet",
      [("phi_in", (4, 5))] + _layer_params(1, ("w_d", "w_self", "w_a"), (3, 4, 4))
      + [("l1.b", (3, 8, 1))] + _layer_params(2, ("w_d", "w_self", "w_a"), (3, 4, 4))
      + [("l2.b", (3, 8, 1)), ("l1.w_env", (3, 4)), ("l2.w_env", (3, 4)), ("phi_out", (2, 4))]),
-    ("gcn", "erm", False,
+    ("gcn", "erm",
      [("phi_in", (4, 5)), ("l1.w_d", (1, 4, 4)), ("l2.w_d", (1, 4, 4)), ("phi_out", (2, 4))]),
-    ("gat", "erm", False,
+    ("gat", "erm",
      [("phi_in", (4, 5)), ("l1.w_d", (1, 4, 4)), ("l1.b", (1, 8, 1)), ("l2.w_d", (1, 4, 4)),
       ("l2.b", (1, 8, 1)), ("phi_out", (2, 4))]),
-], ids=["gcn-canet", "gcn-canet-shared-env", "gat-canet", "gcn-erm", "gat-erm"])
-def test_init_params_names_and_shapes(backbone, method, shared_env, expect):
-    cfg = TrainConfig(backbone=backbone, method=method, shared_env=shared_env, hidden=4,
-                      num_branches=3, num_layers=2)
+], ids=["gcn-canet", "gat-canet", "gcn-erm", "gat-erm"])
+def test_init_params_names_and_shapes(backbone, method, expect):
+    cfg = TrainConfig(backbone=backbone, method=method, hidden=4, num_branches=3, num_layers=2)
     params = make_params(cfg, in_dim=5, num_classes=2)
     assert [(name, t.shape) for name, t in params.tensors.items()] == expect
 
@@ -620,13 +616,6 @@ def test_init_branches_not_tied():
 def test_init_gat_bias_zero():
     params = make_params(TrainConfig(hidden=8, backbone="gat"))
     assert np.array_equal(params["l1.b"].value, np.zeros((3, 16, 1)))
-
-
-def test_shared_env_single_matrix():
-    params = make_params(TrainConfig(hidden=8, shared_env=True))
-    assert "w_env" in params.tensors
-    assert "l1.w_env" not in params.tensors
-    assert params.env_weight(1) is params.env_weight(2)
 
 
 def test_load_values_shape_check():

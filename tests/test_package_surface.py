@@ -1,11 +1,16 @@
 """Nothing in the package stays that nothing uses: every public function is
-referenced, and every public method called, from code outside the tests."""
+referenced, and every public method called, from code outside the tests, and
+every training setting can be given on the ``envgnn train`` command line."""
 
+import argparse
 import ast
+import dataclasses
 import glob
 import os
 
 import envgnn
+from envgnn.cli import build_parser
+from envgnn.config import TrainConfig
 
 PACKAGE = os.path.dirname(envgnn.__file__)
 REPO = os.path.dirname(os.path.dirname(PACKAGE))
@@ -14,8 +19,11 @@ CALLERS = [PACKAGE, os.path.join(REPO, "perfbench"), os.path.join(REPO, "demos")
 # names that only tests use, each kept for a reason the scan cannot see
 ALLOWED = {
     "SparseAdj.densify": "the dense oracle that the sparse kernels are tested against",
-    "kl_exact_rows": "the per-row KL that the epoch observer of ROADMAP item 2 will read",
+    "kl_exact_rows": "the per-row KL that the epoch observer of ROADMAP item 4 will read",
 }
+# TrainConfig fields that no ``envgnn train`` flag sets, each kept for a reason;
+# a field only a --config file can set is one no workload runs
+FLAGLESS: dict[str, str] = {}
 # decorators that make a method an attribute, which is read, not called
 PROPERTIES = {"property", "cached_property"}
 
@@ -74,3 +82,10 @@ def test_the_scan_sees_the_package_and_its_callers():
     assert {"train", "gcn_mixture", "SparseAdj.scatter_to_dst", "Rng.substream"} <= surface
     read, called = used_names()
     assert {"run_gradcheck", "main"} <= read and {"substream", "scatter_to_dst"} <= called
+
+
+def test_every_train_setting_has_a_train_flag():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["train"]._actions}
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert fields - dests == set(FLAGLESS)

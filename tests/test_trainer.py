@@ -259,12 +259,6 @@ def test_best_checkpoint_selection():
     assert res.history[res.selected_epoch - 1]["valid_metric"] == best
 
 
-def test_patience_stops_early():
-    ds = small_dataset()
-    res = train(ds, TrainConfig(hidden=8, epochs=300, patience=5, seed=3))
-    assert len(res.history) < 300
-
-
 def test_numeric_blowup_raises_train_abort(monkeypatch):
     from envgnn.autodiff import NumericError
 
@@ -283,16 +277,6 @@ def test_numeric_blowup_raises_train_abort(monkeypatch):
         train(ds, TrainConfig(hidden=8, epochs=10, seed=0))
     assert exc.value.epoch >= 1
     assert "non-finite" in str(exc.value)
-
-
-def test_lr_env_separates_estimator_rate():
-    ds = small_dataset()
-    frozen = train(ds, TrainConfig(hidden=8, epochs=5, seed=5, lr_env=0.0))
-    moving = train(ds, TrainConfig(hidden=8, epochs=5, seed=5))
-    init = init_params(TrainConfig(hidden=8, seed=5), ds.num_features,
-                       ds.num_classes, Rng(5).substream(STREAM_INIT)).values()
-    assert np.array_equal(frozen.params["l1.w_env"].value, init["l1.w_env"])
-    assert not np.array_equal(moving.params["l1.w_env"].value, init["l1.w_env"])
 
 
 def op_nodes(root):
